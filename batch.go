@@ -56,11 +56,13 @@ func MaxCutObservable(edges []circuit.Edge) Observable {
 //
 // Variants whose compressed blocks have not diverged (the shared prefix
 // before bindings differ, and parameter-shift pairs that differ in one
-// late gate) share codec work through a content-addressed memo instead
-// of paying K× traffic; Stats reports CodecPassesShared and
-// VariantCount. Circuits with measurement gates, and simulators with a
-// live noise channel, fall back to variant-at-a-time execution — each
-// variant still consumes exactly its own random streams.
+// late gate) share codec work through the engine's content-addressed
+// block cache instead of paying K× traffic; Stats reports
+// CodecPassesShared and VariantCount. Measurement gates and a live
+// noise channel run inside the batch, variant by variant — each
+// variant consumes exactly its own random streams — while every other
+// gate stays shared. A failure in any variant stops every variant at
+// the same sweep boundary; the error is returned with the results.
 //
 // The variant simulators stay alive for inspection through
 // BatchVariants until the next RunBatch/Gradient call or Close.
@@ -155,7 +157,7 @@ type GradientResult struct {
 // parameter-shift rule: for each occurrence o of a parameter in the
 // circuit, grad += Scale·(E(θ_o+π/2) − E(θ_o−π/2))/2. All 1+2·#occ
 // circuit variants execute as ONE RunBatch — and since each shifted
-// variant differs from the base in a single gate, the batch memo
+// variant differs from the base in a single gate, the block cache
 // collapses most of their codec traffic into the base variant's.
 //
 // The simulator's own state is the batch's common starting point and is

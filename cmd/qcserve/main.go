@@ -149,13 +149,16 @@ func main() {
 		log.Fatalf("qcserve: %v", err)
 	}
 
+	// Register for the stop signals before serving: once /healthz can
+	// answer, a SIGTERM must drain the server, not kill it.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("qcserve: listening on %s (%d tenants, data dir %s)", *addr, len(tenants), srv.DataDir())
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		log.Printf("qcserve: %v — draining", sig)

@@ -152,12 +152,15 @@
 // content-addressed cache deduplicating codec work across undiverged
 // variants. Stats reports CodecPassesShared and VariantCount.
 //
-// What breaks lockstep: measurement gates and WithNoise interleave the
-// variants' random draws, so such batches fall back to sequential
-// per-variant execution (identical results, no sharing); shape or
-// width mismatches are typed errors before anything runs; and the mps
-// backend reports ErrUnsupportedOp — lockstep batching is
-// compressed-only.
+// What breaks lockstep: nothing the circuit can hold — a solo Run is
+// the same executor at K=1. Measurement gates and WithNoise consume
+// per-variant randomness, so the executor runs them variant by variant
+// inside the batch (each variant draws from its own streams, so
+// outcomes equal sequential runs) while every other gate stays shared.
+// A failure in any variant stops every variant at the same sweep
+// boundary. Shape or width mismatches are typed errors before anything
+// runs, and the mps backend reports ErrUnsupportedOp — lockstep
+// batching is compressed-only.
 //
 // Gradient evaluates a parameter-shift gradient of a diagonal
 // observable (MaxCutObservable) as one lockstep batch — the base

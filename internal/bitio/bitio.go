@@ -57,18 +57,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteBytes appends whole bytes. It is fastest when the writer is
-// byte-aligned.
-func (w *Writer) WriteBytes(p []byte) {
-	if w.bitN == 0 {
-		w.buf = append(w.buf, p...)
-		return
-	}
-	for _, b := range p {
-		w.WriteBits(uint64(b), 8)
-	}
-}
-
 // Align pads with zero bits to the next byte boundary.
 func (w *Writer) Align() {
 	w.bitN = 0
@@ -135,26 +123,6 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 		v = v<<1 | uint64(b)
 	}
 	return v, nil
-}
-
-// ReadBytes reads whole bytes into p.
-func (r *Reader) ReadBytes(p []byte) error {
-	if r.bitN == 0 {
-		if r.pos+len(p) > len(r.buf) {
-			return ErrShortBuffer
-		}
-		copy(p, r.buf[r.pos:])
-		r.pos += len(p)
-		return nil
-	}
-	for i := range p {
-		v, err := r.ReadBits(8)
-		if err != nil {
-			return err
-		}
-		p[i] = byte(v)
-	}
-	return nil
 }
 
 // Align discards bits up to the next byte boundary.

@@ -1,7 +1,6 @@
 package bitio
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -73,39 +72,6 @@ func TestBitLen(t *testing.T) {
 	}
 }
 
-func TestWriteBytesAligned(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBytes([]byte{1, 2, 3})
-	if !bytes.Equal(w.Bytes(), []byte{1, 2, 3}) {
-		t.Fatalf("got %v", w.Bytes())
-	}
-	r := NewReader(w.Bytes())
-	p := make([]byte, 3)
-	if err := r.ReadBytes(p); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, []byte{1, 2, 3}) {
-		t.Fatalf("got %v", p)
-	}
-}
-
-func TestWriteBytesUnaligned(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBit(1)
-	w.WriteBytes([]byte{0xAB, 0xCD})
-	r := NewReader(w.Bytes())
-	if b, _ := r.ReadBit(); b != 1 {
-		t.Fatal("first bit lost")
-	}
-	p := make([]byte, 2)
-	if err := r.ReadBytes(p); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, []byte{0xAB, 0xCD}) {
-		t.Fatalf("got %v", p)
-	}
-}
-
 func TestAlign(t *testing.T) {
 	w := NewWriter(8)
 	w.WriteBits(0b101, 3)
@@ -130,10 +96,6 @@ func TestShortBuffer(t *testing.T) {
 	}
 	r2 := NewReader(nil)
 	if _, err := r2.ReadBit(); err != ErrShortBuffer {
-		t.Fatalf("err = %v, want ErrShortBuffer", err)
-	}
-	r3 := NewReader([]byte{1, 2})
-	if err := r3.ReadBytes(make([]byte, 3)); err != ErrShortBuffer {
 		t.Fatalf("err = %v, want ErrShortBuffer", err)
 	}
 }

@@ -118,6 +118,8 @@ func RoundTrip(t *testing.T, c compress.Codec, data []float64, opt compress.Opti
 }
 
 // ConformanceLossless checks bit-exact reconstruction across datasets.
+//
+//qclint:allow deadexport the codec packages' TestConformance* suites run it
 func ConformanceLossless(t *testing.T, c compress.Codec) {
 	t.Helper()
 	for _, ds := range Datasets(2048, 7) {
@@ -130,6 +132,8 @@ func ConformanceLossless(t *testing.T, c compress.Codec) {
 
 // ConformanceLossy checks the error contract across datasets and the
 // paper's five bounds.
+//
+//qclint:allow deadexport the lossy codecs' TestConformance* suites run it
 func ConformanceLossy(t *testing.T, c compress.Codec, mode compress.ErrorMode) {
 	t.Helper()
 	for _, ds := range Datasets(2048, 11) {
@@ -154,6 +158,8 @@ func ConformanceLossy(t *testing.T, c compress.Codec, mode compress.ErrorMode) {
 }
 
 // ConformanceEmptyAndSmall checks degenerate sizes.
+//
+//qclint:allow deadexport the codec packages' TestConformance* suites run it
 func ConformanceEmptyAndSmall(t *testing.T, c compress.Codec) {
 	t.Helper()
 	for _, n := range []int{0, 1, 2, 3, 5, 7} {
@@ -170,6 +176,8 @@ func ConformanceEmptyAndSmall(t *testing.T, c compress.Codec) {
 
 // ConformanceCorrupt checks that mangled payloads return errors rather
 // than panicking or silently succeeding.
+//
+//qclint:allow deadexport the codec packages' TestConformance* suites run it
 func ConformanceCorrupt(t *testing.T, c compress.Codec) {
 	t.Helper()
 	data := Datasets(512, 3)[5].Data // spiky
@@ -202,6 +210,8 @@ func ConformanceCorrupt(t *testing.T, c compress.Codec) {
 
 // ConformanceNonFinite checks NaN/Inf survive (via exception paths) in
 // lossy modes where codecs promise it.
+//
+//qclint:allow deadexport the lossy codecs' TestConformance* suites run it
 func ConformanceNonFinite(t *testing.T, c compress.Codec, mode compress.ErrorMode) {
 	t.Helper()
 	data := []float64{1, math.NaN(), -2, math.Inf(1), 0.5, math.Inf(-1), 0, 3}
@@ -227,6 +237,8 @@ func ConformanceNonFinite(t *testing.T, c compress.Codec, mode compress.ErrorMod
 // ConformanceConcurrent hammers one codec instance from many
 // goroutines — the SPMD engine shares codec instances across ranks, so
 // Compress/Decompress must be safe and correct under concurrency.
+//
+//qclint:allow deadexport the codec packages' TestConcurrentUse tests run it
 func ConformanceConcurrent(t *testing.T, c compress.Codec) {
 	t.Helper()
 	datasets := Datasets(1024, 13)

@@ -63,6 +63,8 @@ func PrecisionFor(eps float64) int {
 
 // RelativeBoundFor returns the pointwise relative error bound implied by
 // an FPZIP precision (the inverse of PrecisionFor).
+//
+//qclint:allow deadexport TestPrecisionMapping and TestExplicitPrecisionRoundTrip check bounds against it
 func RelativeBoundFor(prec int) float64 {
 	if prec >= 64 {
 		return 0

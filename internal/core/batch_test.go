@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,11 +81,13 @@ func TestCloneCopiesStateAndLedger(t *testing.T) {
 // TestQuickRunBatchBitIdentical is the batch executor's master
 // property: a K-variant RunBatch leaves every variant in exactly the
 // state K solo RunControlled calls with the same per-variant seeds
-// would, for ANY geometry, worker count, and sweep setting. Run under
-// -race in CI, it doubles as the data-race check on the
-// block-index-first fan-out.
+// would, for ANY geometry, worker count, and sweep setting — also when
+// the circuit measures mid-circuit and at the end, and under a live
+// noise channel, whose per-variant draws the executor runs inside the
+// batch. Run under -race in CI, it doubles as the data-race check on
+// the block-index-first fan-out.
 func TestQuickRunBatchBitIdentical(t *testing.T) {
-	f := func(seed int64, geomSel, workerSel, sweepSel uint8) bool {
+	f := func(seed int64, geomSel, workerSel, sweepSel, stepSel uint8) bool {
 		const qubits, p, k = 6, 1, 3
 		geoms := []struct{ ranks, block int }{
 			{1, 64}, {1, 8}, {2, 8}, {4, 4}, {2, 32},
@@ -96,6 +99,11 @@ func TestQuickRunBatchBitIdentical(t *testing.T) {
 			c.Workers = workers
 			c.DisableSweeps = disable
 		}
+		measured := stepSel&1 == 1
+		var noise *NoiseModel
+		if stepSel&2 == 2 {
+			noise = &NoiseModel{Prob: 0.2}
+		}
 		ansatz := quantum.QAOAAnsatz(qubits, p, seed)
 		circuits := make([]*quantum.Circuit, k)
 		for v := range circuits {
@@ -104,9 +112,17 @@ func TestQuickRunBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if measured {
+				c = withMeasurements(c, int(uint64(seed)%qubits))
+			}
 			circuits[v] = c
 		}
 		sims := batchSims(t, qubits, g.ranks, g.block, k, extra)
+		for _, s := range sims {
+			if err := s.SetNoise(noise); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 			t.Fatalf("RunBatch: %v", err)
 		}
@@ -115,6 +131,9 @@ func TestQuickRunBatchBitIdentical(t *testing.T) {
 				extra(c)
 				c.Seed = VariantSeed(1, v)
 			})
+			if err := solo.SetNoise(noise); err != nil {
+				t.Fatal(err)
+			}
 			if err := solo.Run(circuits[v]); err != nil {
 				t.Fatalf("solo run %d: %v", v, err)
 			}
@@ -193,6 +212,54 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 		soloCalls, k, int64(k)*soloCalls, batchCalls, ratio, shared)
 }
 
+// withMeasurements returns c with a measurement of qubit q spliced in
+// halfway through and another appended at the end — one shape for
+// every binding of c's ansatz.
+func withMeasurements(c *quantum.Circuit, q int) *quantum.Circuit {
+	half := len(c.Gates) / 2
+	m := quantum.NewCircuit(c.N)
+	m.Gates = append(m.Gates, c.Gates[:half]...)
+	m.Measure(q)
+	m.Gates = append(m.Gates, c.Gates[half:]...)
+	return m.Measure((q + 1) % c.N)
+}
+
+// TestRunBatchMeasuredSharesCodecWork: a measurement runs inside the
+// lockstep batch, so a parameter-shift batch ending in one still shares
+// its undiverged prefix across variants (bit-identity of measured
+// batches is TestQuickRunBatchBitIdentical's).
+func TestRunBatchMeasuredSharesCodecWork(t *testing.T) {
+	const qubits, p, k = 8, 1, 3
+	ansatz := quantum.QAOAAnsatz(qubits, p, 11)
+	base := quantum.QAOAAngles(p, 11)
+	occs := ansatz.ParamOccurrences()
+	circuits := make([]*quantum.Circuit, k)
+	for v := range circuits {
+		var c *quantum.Circuit
+		var err error
+		if v == 0 {
+			c, err = ansatz.Bind(base)
+		} else {
+			c, err = ansatz.BindShift(base, occs[len(occs)-v].Gate, 0.5)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits[v] = c.Measure(3)
+	}
+	sims := batchSims(t, qubits, 1, 32, k, func(c *Config) { c.Workers = 1 })
+	if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+		t.Fatal(err)
+	}
+	var shared int64
+	for _, s := range sims {
+		shared += s.Stats().CodecPassesShared
+	}
+	if shared == 0 {
+		t.Fatal("a batch ending in a measurement shared no codec passes across variants")
+	}
+}
+
 // TestRunBatchMeasurementFallback: measurement gates break lockstep, so
 // the batch runs variant-at-a-time — still producing exactly the solo
 // outcomes per variant seed.
@@ -248,5 +315,13 @@ func TestRunBatchValidation(t *testing.T) {
 	mismatched := newSim(t, 4, 2, 8, nil)
 	if err := RunBatch([]*Simulator{sims[0], mismatched}, []*quantum.Circuit{bound, bound}, RunControl{}); err == nil {
 		t.Fatal("geometry mismatch accepted")
+	}
+	// A live noise channel turns sweeps off, and the variants share
+	// one sweep plan.
+	if err := sims[1].SetNoise(&NoiseModel{Prob: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunBatch(sims, []*quantum.Circuit{bound, bound}, RunControl{}); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("noise mismatch not rejected as ErrBatchMismatch: %v", err)
 	}
 }

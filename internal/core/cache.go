@@ -16,6 +16,11 @@ import (
 // itself after a probation window, avoiding the paper's cache-miss
 // penalty.
 //
+// The same cache deduplicates codec work across the variants of a
+// batched run: a variant whose block has not diverged from an earlier
+// variant's looks up the same key (cacheLines sizes the cache so the
+// in-flight blocks of every variant fit).
+//
 // mu makes the cache safe for the rank's worker pool: workers hit it
 // concurrently during a fan-out, and even get mutates the LRU list.
 // disabled is atomic so the post-shutoff fast path — the common case on
@@ -50,6 +55,27 @@ func newBlockCache(lines int) *blockCache {
 		items:     make(map[string]*list.Element, lines),
 		probation: 4 * int64(lines),
 	}
+}
+
+// cacheLines sizes a rank's block cache for a run of k lockstep variants
+// on nw workers: the configured lines, plus — when k > 1 — one line per
+// variant for every worker's in-flight block, so variants whose blocks
+// have not diverged share codec work even with the configured cache
+// off. A solo run (k == 1) gets exactly the configured cache.
+func cacheLines(configured, k, nw int) int {
+	if k == 1 {
+		return configured
+	}
+	return configured + k*nw
+}
+
+// capacity returns the cache's line count (0 for the nil, disabled
+// cache).
+func (c *blockCache) capacity() int {
+	if c == nil {
+		return 0
+	}
+	return c.cap
 }
 
 // enabled reports whether the cache is worth consulting; callers skip

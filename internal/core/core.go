@@ -2,12 +2,10 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,12 +92,15 @@ type rankState struct {
 // workerState is one worker's private slice of the rank working set: a
 // scratch buffer pair plus a stats shard that is merged into the rank
 // totals after every fan-out (so the Table 2 accounting matches the
-// sequential engine without any per-block locking). Buffers beyond
-// worker 0's are allocated on first schedule, not in New — a simulator
-// that never fans out (or a machine-wide default pool that the block
-// count keeps from ever filling) pays for exactly one Eq. 8 pair, the
-// same as the sequential engine.
+// sequential engine without any per-block locking). In a K-variant
+// pass worker i of variant 0 supplies the scratch and worker i of each
+// variant holds that variant's shard. Buffers beyond worker 0's are
+// allocated on first schedule, not in New — a simulator that never fans
+// out (or a machine-wide default pool that the block count keeps from
+// ever filling) pays for exactly one Eq. 8 pair, the same as the
+// sequential engine.
 type workerState struct {
+	id    int // index in the rank's pool
 	x, y  []float64
 	stats Stats
 }
@@ -155,7 +156,7 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		rs.store = store
 		for w := range rs.workers {
-			rs.workers[w] = &workerState{}
+			rs.workers[w] = &workerState{id: w}
 		}
 		// Worker 0's pair is the one the sequential paths (Reset,
 		// cross-rank exchange) borrow; it always exists.
@@ -489,442 +490,6 @@ func (s *Simulator) noteLevel(rs *rankState, gi, level int) {
 			return
 		}
 	}
-}
-
-// forBlocks fans fn out over the rank's block indices on the worker
-// pool. fn receives a worker whose scratch buffers it owns exclusively;
-// shared rank state may only be touched through updateBlock and the
-// (mutex-guarded) block cache. Block assignment is dynamic (an atomic
-// counter), which is safe because no fan-out path depends on iteration
-// order: per-block results are bit-identical for every worker count.
-// After the fan-out the worker stats shards are merged into rs.stats.
-func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) error) error {
-	nb := s.blocksPerRank()
-	nw := len(rs.workers)
-	if nw > nb {
-		nw = nb
-	}
-	var firstErr error
-	if nw <= 1 {
-		w := rs.w0()
-		for b := 0; b < nb; b++ {
-			if firstErr = fn(w, b); firstErr != nil {
-				break
-			}
-		}
-	} else {
-		var (
-			next int64 = -1
-			fail int32
-			once sync.Once
-			wg   sync.WaitGroup
-		)
-		for i := 0; i < nw; i++ {
-			w := rs.workers[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w.ensure(2 * s.blockAmps())
-				for atomic.LoadInt32(&fail) == 0 {
-					b := atomic.AddInt64(&next, 1)
-					if b >= int64(nb) {
-						return
-					}
-					if err := fn(w, int(b)); err != nil {
-						once.Do(func() { firstErr = err })
-						atomic.StoreInt32(&fail, 1)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, w := range rs.workers {
-		rs.stats.addShard(w.stats)
-		w.stats = Stats{}
-	}
-	return firstErr
-}
-
-// RunControl carries the optional per-gate hooks RunControlled consults
-// at gate boundaries. The zero value disables both hooks, making
-// RunControlled identical to Run.
-type RunControl struct {
-	// PollAbort, when non-nil, is consulted on rank 0 before every sweep
-	// (every gate when the sweep scheduler is off). A non-nil return
-	// stops execution at that sweep boundary on every rank (the decision
-	// is broadcast, so all ranks agree and no cross-rank exchange is
-	// left half-paired) and RunControlled returns an error wrapping it.
-	// Gates already executed are kept: state, stats, and the fidelity
-	// ledger reflect exactly the completed prefix and the simulator
-	// stays fully inspectable.
-	PollAbort func() error
-	// OnGate, when non-nil, is invoked on rank 0 after each gate
-	// completes, with the gate's index, the total gate count of this run
-	// (post-fusion), and the gate itself. It runs on the rank-0
-	// goroutine and must not call back into the Simulator.
-	OnGate func(gi, total int, g quantum.Gate)
-}
-
-// Run executes the circuit on the current state. It may be called
-// repeatedly; state, stats, and the fidelity ledger accumulate.
-func (s *Simulator) Run(c *quantum.Circuit) error {
-	return s.RunControlled(c, RunControl{})
-}
-
-// errPeerRankFailed marks a rank that stopped because the sweep error
-// barrier reported a failure on ANOTHER rank; RunControlled prefers the
-// failing rank's real error over this placeholder.
-var errPeerRankFailed = errors.New("core: gate failed on a peer rank")
-
-// RunControlled is Run with sweep-boundary hooks: cooperative abort
-// (PollAbort) and progress reporting (OnGate). With zero hooks the
-// execution path — every collective, every compressed bit — is
-// identical to Run.
-//
-// Execution iterates the sweep schedule: maximal runs of consecutive
-// block-local gates execute through applySweepRank (one codec pass per
-// block for the whole run), everything else gate-at-a-time. After every
-// sweep an error barrier (an allreduce of per-rank failure flags) makes
-// all ranks agree on whether any rank's codec failed, so a failure
-// stops every rank at the same sweep boundary and surfaces as an error
-// — never a panic and never a hung collective. On error the state
-// reflects the completed prefix, except that the failing gate itself
-// may be partially applied on some ranks; the simulator stays
-// inspectable either way.
-func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
-	if c.N != s.cfg.Qubits {
-		return fmt.Errorf("core: circuit has %d qubits, simulator %d", c.N, s.cfg.Qubits)
-	}
-	if c.Parametric() {
-		return fmt.Errorf("core: circuit has unbound parameters; Bind it first")
-	}
-	if s.cfg.FuseGates {
-		c = quantum.FuseSingleQubitGates(c)
-	}
-	if len(c.Gates) > 0 {
-		// Any gate may mutate the state (even a failed run leaves a
-		// completed prefix), so samplers built earlier are now stale.
-		s.version++
-	}
-	var plan []quantum.Sweep
-	if s.sweepsEnabled() {
-		plan = quantum.PlanSweeps(c.Gates, s.offsetBits)
-	} else {
-		plan = quantum.SingletonSweeps(c.Gates)
-	}
-	s.gateLevel = make([]uint32, len(c.Gates))
-	measured := make([][]int, s.cfg.Ranks)
-	rankErrs := make([]error, s.cfg.Ranks)
-	// abortErr and executed are written only by the rank-0 goroutine and
-	// read after the launcher's completion establishes happens-before.
-	var abortErr error
-	var executed int
-	comms, err := s.launcher().Launch(s.cfg.Ranks, func(comm mpi.Comm) {
-		rs := s.ranks[comm.Rank()]
-		ran := 0
-		for _, sw := range plan {
-			if ctl.PollAbort != nil {
-				// Rank 0 decides; the broadcast makes every rank stop at
-				// the same sweep boundary (a rank aborting unilaterally
-				// would strand its cross-rank partners mid-exchange).
-				var stop float64
-				if comm.Rank() == 0 {
-					if aerr := ctl.PollAbort(); aerr != nil {
-						abortErr = aerr
-						stop = 1
-					}
-				}
-				if comm.Bcast(0, stop) != 0 {
-					break
-				}
-			}
-			var swErr error
-			var swMeasured []int // outcomes held back until the barrier clears
-			if sw.Local {
-				swErr = s.applySweepRank(rs, c.Gates[sw.Start:sw.End], sw.End-1)
-			} else {
-				for gi := sw.Start; gi < sw.End && swErr == nil; gi++ {
-					g := c.Gates[gi]
-					if g.Kind == quantum.KindMeasure {
-						out, merr := s.measureRank(comm, rs, g.Target, gi)
-						if merr != nil {
-							swErr = merr
-						} else if comm.Rank() == 0 {
-							swMeasured = append(swMeasured, out)
-						}
-					} else {
-						swErr = s.applyGateRank(comm, rs, g, gi)
-						if s.noiseActive() {
-							// The noise Pauli may be a cross-rank gate, so a
-							// rank that failed the unitary cannot just skip
-							// it: agree on failure first, then either all
-							// ranks apply noise or none do.
-							var flag float64
-							if swErr != nil {
-								flag = 1
-							}
-							if comm.AllreduceSum(flag) != 0 {
-								if swErr == nil {
-									swErr = errPeerRankFailed
-								}
-							} else {
-								swErr = s.applyNoiseRank(comm, rs, g, gi)
-							}
-						}
-					}
-				}
-			}
-			// Error barrier: every rank learns whether any rank failed
-			// this sweep, so all stop at the same boundary.
-			var flag float64
-			if swErr != nil {
-				flag = 1
-			}
-			if comm.AllreduceSum(flag) != 0 {
-				if swErr == nil {
-					swErr = errPeerRankFailed
-				}
-				rankErrs[comm.Rank()] = swErr
-				break
-			}
-			ran += sw.Len()
-			if comm.Rank() == 0 {
-				measured[0] = append(measured[0], swMeasured...)
-				if ctl.OnGate != nil {
-					for gi := sw.Start; gi < sw.End; gi++ {
-						ctl.OnGate(gi, len(c.Gates), c.Gates[gi])
-					}
-				}
-			}
-		}
-		rs.stats.Gates += ran
-		if comm.Rank() == 0 {
-			executed = ran
-		}
-	})
-	if err != nil {
-		return err
-	}
-	for i, comm := range comms {
-		if comm == nil {
-			continue // remote rank: its accounting arrives via ApplyDeltas
-		}
-		s.ranks[i].stats.CommTime += comm.CommTime()
-		s.bytesMoved += comm.BytesMoved()
-	}
-	s.measurements = append(s.measurements, measured[0]...)
-	// Fold per-gate max levels into the ledger (Eq. 11). Gates past an
-	// abort boundary were never executed, so their entries are still 0;
-	// a k-gate sweep recompresses once and charges one factor, at its
-	// last gate's index.
-	for _, lvl := range s.gateLevel {
-		if lvl > 0 {
-			s.ledger *= 1 - s.cfg.ErrorLevels[lvl-1]
-		}
-	}
-	s.gatesRun += executed
-	var gateErr error
-	for _, e := range rankErrs {
-		if e != nil && (gateErr == nil || errors.Is(gateErr, errPeerRankFailed)) {
-			gateErr = e
-		}
-	}
-	if abortErr != nil {
-		return fmt.Errorf("core: run aborted after %d of %d gates: %w", executed, len(c.Gates), abortErr)
-	}
-	if gateErr != nil {
-		return fmt.Errorf("core: run failed after %d of %d gates: %w", executed, len(c.Gates), gateErr)
-	}
-	return nil
-}
-
-// splitControls partitions control qubits into offset-, block-, and
-// rank-segment masks (§3.3's three cases for the control position).
-func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rankMask int) {
-	for _, c := range controls {
-		switch {
-		case c < s.offsetBits:
-			offMask |= 1 << uint(c)
-		case c < s.offsetBits+s.blockBits:
-			blkMask |= 1 << uint(c-s.offsetBits)
-		default:
-			rankMask |= 1 << uint(c-s.offsetBits-s.blockBits)
-		}
-	}
-	return offMask, blkMask, rankMask
-}
-
-// applyGateRank executes one unitary gate on this rank's blocks,
-// dispatching on the target qubit's index segment (§3.3).
-func (s *Simulator) applyGateRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
-	offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
-	if rs.id&rankCtrl != rankCtrl {
-		// §3.3: control in the rank segment is |0⟩ here — the whole
-		// rank is unmodified. Cross-rank partners share the control
-		// bit, so no peer is left waiting.
-		return nil
-	}
-	q := g.Target
-	switch {
-	case q < s.offsetBits:
-		return s.applyLocal(rs, g, gi, offCtrl, blkCtrl)
-	case q < s.offsetBits+s.blockBits:
-		return s.applyCrossBlock(rs, g, gi, offCtrl, blkCtrl)
-	default:
-		return s.applyCrossRank(comm, rs, g, gi, offCtrl, blkCtrl)
-	}
-}
-
-// runBlockPass fans one decompress → apply → recompress pass over the
-// rank's blocks on the worker pool, with the §3.4 cache keyed on sig
-// (single-block entries). Blocks failing the blkCtrl mask are untouched
-// (§3.3: whole block unmodified); passesSaved is credited per block
-// actually run through the codec — the sweep path's k-1 elided round
-// trips, 0 for single-gate passes.
-func (s *Simulator) runBlockPass(rs *rankState, sig string, lvl, blkCtrl int, passesSaved int64, apply func(x []float64)) error {
-	s.hintBlocks(rs, blkCtrl, 0)
-	return s.forBlocks(rs, func(w *workerState, b int) error {
-		if b&blkCtrl != blkCtrl {
-			return nil
-		}
-		cur, err := rs.store.Get(b)
-		if err != nil {
-			return err
-		}
-		key := ""
-		if rs.cache.enabled() {
-			key = cacheKey(sig, lvl, cur, nil)
-			if out1, _, ok := rs.cache.get(key); ok {
-				w.stats.CacheHits++
-				w.stats.CacheLookups++
-				return s.updateBlock(rs, b, append([]byte(nil), out1...))
-			}
-			w.stats.CacheLookups++
-		}
-		if err := s.decompressBlock(cur, w.x, &w.stats); err != nil {
-			return err
-		}
-		start := time.Now()
-		apply(w.x)
-		w.stats.ComputeTime += time.Since(start)
-		blob, err := s.compressBlock(lvl, w.x, &w.stats)
-		if err != nil {
-			return err
-		}
-		if err := s.updateBlock(rs, b, blob); err != nil {
-			return err
-		}
-		if key != "" {
-			rs.cache.put(key, blob, nil)
-		}
-		w.stats.CodecPassesSaved += passesSaved
-		return nil
-	})
-}
-
-// applyLocal handles targets inside the offset segment: both amplitudes
-// of every pair live in the same block, so the block loop fans out
-// across the worker pool with no cross-worker data dependencies.
-func (s *Simulator) applyLocal(rs *rankState, g quantum.Gate, gi int, offCtrl uint64, blkCtrl int) error {
-	tMask := 1 << uint(g.Target)
-	lvl := rs.level
-	ba := s.blockAmps()
-	err := s.runBlockPass(rs, g.Signature(), lvl, blkCtrl, 0, func(x []float64) {
-		for base := 0; base < ba; base += tMask << 1 {
-			for o := base; o < base+tMask; o++ {
-				if uint64(o)&offCtrl != offCtrl {
-					continue
-				}
-				applyPair(g.U, x, o, o|tMask)
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	s.noteLevel(rs, gi, lvl)
-	s.maybeEscalate(rs)
-	return nil
-}
-
-// applyCrossBlock handles targets in the block segment: the pair spans
-// two blocks of the same rank. Each worker decompresses one block pair
-// at a time (the paper's two-block working set, §3.1, now per worker),
-// and pairs never overlap, so the pair loop fans out safely.
-func (s *Simulator) applyCrossBlock(rs *rankState, g quantum.Gate, gi int, offCtrl uint64, blkCtrl int) error {
-	tb := 1 << uint(g.Target-s.offsetBits)
-	lvl := rs.level
-	sig := g.Signature()
-	ba := s.blockAmps()
-	s.hintBlocks(rs, blkCtrl, tb)
-	err := s.forBlocks(rs, func(w *workerState, b int) error {
-		if b&tb != 0 || b&blkCtrl != blkCtrl {
-			return nil
-		}
-		pb := b | tb
-		curB, err := rs.store.Get(b)
-		if err != nil {
-			return err
-		}
-		curP, err := rs.store.Get(pb)
-		if err != nil {
-			return err
-		}
-		key := ""
-		if rs.cache.enabled() {
-			key = cacheKey(sig, lvl, curB, curP)
-			if out1, out2, ok := rs.cache.get(key); ok {
-				w.stats.CacheHits++
-				w.stats.CacheLookups++
-				if err := s.updateBlock(rs, b, append([]byte(nil), out1...)); err != nil {
-					return err
-				}
-				return s.updateBlock(rs, pb, append([]byte(nil), out2...))
-			}
-			w.stats.CacheLookups++
-		}
-		if err := s.decompressBlock(curB, w.x, &w.stats); err != nil {
-			return err
-		}
-		if err := s.decompressBlock(curP, w.y, &w.stats); err != nil {
-			return err
-		}
-		start := time.Now()
-		x, y := w.x, w.y
-		for o := 0; o < ba; o++ {
-			if uint64(o)&offCtrl != offCtrl {
-				continue
-			}
-			applyPairSplit(g.U, x, y, o)
-		}
-		w.stats.ComputeTime += time.Since(start)
-		blobX, err := s.compressBlock(lvl, w.x, &w.stats)
-		if err != nil {
-			return err
-		}
-		if err := s.updateBlock(rs, b, blobX); err != nil {
-			return err
-		}
-		blobY, err := s.compressBlock(lvl, w.y, &w.stats)
-		if err != nil {
-			return err
-		}
-		if err := s.updateBlock(rs, pb, blobY); err != nil {
-			return err
-		}
-		if key != "" {
-			rs.cache.put(key, blobX, blobY)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.noteLevel(rs, gi, lvl)
-	s.maybeEscalate(rs)
-	return nil
 }
 
 // applyCrossRank handles targets in the rank segment: block pairs span

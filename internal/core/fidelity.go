@@ -19,6 +19,8 @@ func FidelityBound(gateBounds []float64) float64 {
 
 // FidelityCurve returns Eq. 11 evaluated after 1..gates gates at a
 // constant per-gate bound δ — one Fig. 6 series.
+//
+//qclint:allow deadexport TestFidelityCurveMatchesClosedForm and BenchmarkFig6FidelityBound use it
 func FidelityCurve(delta float64, gates int) []float64 {
 	out := make([]float64, gates)
 	f := 1.0

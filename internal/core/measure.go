@@ -22,7 +22,7 @@ import (
 // allreduce keeps every rank's collective sequence aligned) BEFORE the
 // outcome is drawn, so no rank collapses anything and the
 // pre-measurement state stays fully inspectable. A failure in the
-// collapse phase is returned to RunControlled, whose sweep error
+// collapse phase is returned to the executor, whose sweep error
 // barrier stops all ranks at the gate boundary.
 func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, error) {
 	qInOffset := q < s.offsetBits
@@ -47,7 +47,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 		// blkMask is a single bit, so "any set" equals the all-set
 		// filter hintBlocks applies.
 		s.hintBlocks(rs, blkMask, 0)
-		phase1Err = s.forBlocks(rs, func(w *workerState, b int) error {
+		phase1Err = s.forBlocks([]*rankState{rs}, func(w *workerState, b int) error {
 			if blkMask != 0 && b&blkMask == 0 {
 				return nil // whole block has q=0
 			}
@@ -120,7 +120,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 
 	// Phase 3: collapse and renormalize every block.
 	s.hintBlocks(rs, 0, 0)
-	err := s.forBlocks(rs, func(w *workerState, b int) error {
+	err := s.forBlocks([]*rankState{rs}, func(w *workerState, b int) error {
 		matchBlock := true
 		if blkMask != 0 {
 			bit := 0

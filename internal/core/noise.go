@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
 )
 
@@ -37,19 +36,21 @@ func (s *Simulator) noiseActive() bool {
 	return s.noise != nil && s.noise.Prob > 0
 }
 
-// applyNoiseRank draws from the rank's noise stream — identical on every
-// rank — and applies the chosen Pauli as a regular gate. All ranks draw
-// the same number of variates per gate whether or not the Pauli fires,
-// keeping the streams aligned. The draws happen here, before any block
-// fan-out, and the Pauli application goes through the same worker-pool
-// gate path as ordinary gates — no randomness is ever consumed inside a
-// worker, which is what keeps the trajectory independent of Workers. A
-// codec failure propagates to RunControlled's sweep error barrier like
-// any other gate error.
-func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
+// noise draws from the rank's noise stream — identical on every rank —
+// and applies the chosen Pauli as a regular gate, on a single-variant
+// view of the run. All ranks draw the same number of variates per gate
+// whether or not the Pauli fires, keeping the streams aligned. The
+// draws happen here, before any block fan-out, and the Pauli
+// application goes through the same worker-pool gate path as ordinary
+// gates — no randomness is ever consumed inside a worker, which is what
+// keeps the trajectory independent of Workers. A codec failure
+// propagates to the executor's sweep error barrier like any other gate
+// error.
+func (ls *lockstep) noise(g quantum.Gate, gi int) error {
+	rs := ls.rss[0]
 	u := rs.rng.Float64()
 	pick := rs.rng.Intn(3)
-	if u >= s.noise.Prob {
+	if u >= ls.sims[0].noise.Prob {
 		return nil
 	}
 	var pauli quantum.Gate
@@ -61,5 +62,5 @@ func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	default:
 		pauli = quantum.Gate{Name: "noise-z", Target: g.Target, U: quantum.MatZ}
 	}
-	return s.applyGateRank(comm, rs, pauli, gi)
+	return ls.gate([]quantum.Gate{pauli}, gi)
 }

@@ -85,7 +85,7 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 		// it so a tiered store can stage spilled blobs ahead of the
 		// workers.
 		s.hintBlocks(rs, 0, 0)
-		err := s.forBlocks(rs, func(w *workerState, b int) error {
+		err := s.forBlocks([]*rankState{rs}, func(w *workerState, b int) error {
 			blob, err := rs.store.Get(b)
 			if err != nil {
 				return err

@@ -15,7 +15,10 @@ type Stats struct {
 	// Gates executed (unitary applications; measurements count too).
 	Gates int
 
-	// Block cache behaviour (§3.4).
+	// Block cache behaviour (§3.4): every lookup and hit of the rank's
+	// one content-addressed cache, solo and batched runs alike. A
+	// batch consults it even with CacheLines = 0 (cacheLines sizes it
+	// for the in-flight blocks of every variant).
 	CacheLookups int64
 	CacheHits    int64
 
@@ -35,12 +38,13 @@ type Stats struct {
 	CodecPassesSaved int64
 
 	// Variant batching behaviour (RunBatch). CodecPassesShared counts
-	// per-block codec round trips a variant avoided because the batch
-	// memo had already produced the output for the same (op, level,
-	// compressed input) — sharing across variants whose blocks have not
-	// diverged, and across byte-identical blocks within one pass.
-	// VariantCount is the batch width K of the most recent batched run
-	// (0 when the state has only ever run solo).
+	// the per-block codec round trips served by block-cache hits during
+	// a K > 1 run (two for a block-pair hit): the cache already held
+	// the output for the same (op, level, compressed input) — sharing
+	// across variants whose blocks have not diverged, and across
+	// byte-identical blocks. VariantCount is the batch width K of the
+	// most recent batched run (0 when the state has only ever run
+	// solo).
 	CodecPassesShared int64
 	VariantCount      int
 

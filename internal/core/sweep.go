@@ -20,7 +20,7 @@ import (
 // fidelity ledger charges one (1-δ) factor per sweep instead of per
 // gate — the Eq. 11 bound only tightens.
 
-// sweepsEnabled reports whether RunControlled may batch block-local
+// sweepsEnabled reports whether the executor may batch block-local
 // runs. A live noise channel forces gate-at-a-time execution: the
 // depolarizing draw happens after every gate, and an injected Pauli must
 // observe the state with the preceding gate already applied. A
@@ -29,52 +29,30 @@ func (s *Simulator) sweepsEnabled() bool {
 	return !s.cfg.DisableSweeps && !s.noiseActive()
 }
 
-// localGate is one gate of a sweep, pre-split into the offset-segment
-// masks the inner loop needs (the planner guarantees no block- or
-// rank-segment bits are involved).
-type localGate struct {
-	tMask   int
-	offCtrl uint64
-	u       quantum.Matrix2
-}
-
-// applySweepRank executes a block-local sweep of k gates on this rank's
-// blocks in a single codec pass per block: decompress once, apply all k
-// unitaries in circuit order, recompress once. The block loop fans out
-// across the worker pool exactly like applyLocal; the block cache is
+// sweep executes a block-local sweep of k gates on this rank for every
+// variant in a single codec pass per block: decompress once, apply all
+// k unitaries in circuit order, recompress once. The block cache is
 // keyed on the whole sweep (signature of the full gate run), so the
 // §3.4 redundancy shortcut still applies, now amortizing k gates per
 // hit. The fidelity ledger and the §3.7 escalation check are charged
 // once per sweep — matching the single recompression that actually
-// happened — against gate index giLedger (the sweep's last gate).
-func (s *Simulator) applySweepRank(rs *rankState, gates []quantum.Gate, giLedger int) error {
-	lvl := rs.level
-	sig := quantum.SweepSignature(gates)
-	ba := s.blockAmps()
-	k := len(gates)
-	lg := make([]localGate, k)
-	for i, g := range gates {
-		offCtrl, _, _ := s.splitControls(g.Controls)
-		lg[i] = localGate{tMask: 1 << uint(g.Target), offCtrl: offCtrl, u: g.U}
+// happened — against the sweep's last gate.
+func (ls *lockstep) sweep(cs []*quantum.Circuit, sw quantum.Sweep) error {
+	k := sw.Len()
+	sigs := make([]string, len(cs))
+	for v, c := range cs {
+		sigs[v] = quantum.SweepSignature(c.Gates[sw.Start:sw.End])
 	}
-	err := s.runBlockPass(rs, sig, lvl, 0, int64(k-1), func(x []float64) {
-		for _, g := range lg {
-			for base := 0; base < ba; base += g.tMask << 1 {
-				for o := base; o < base+g.tMask; o++ {
-					if uint64(o)&g.offCtrl != g.offCtrl {
-						continue
-					}
-					applyPair(g.u, x, o, o|g.tMask)
-				}
-			}
-		}
+	s0 := ls.sims[0]
+	err := ls.blockPass(sigs, sw.End-1, 0, 0, int64(k-1), func(v int, x, _ []float64) {
+		s0.applyOffsetGates(cs[v].Gates[sw.Start:sw.End], x)
 	})
 	if err != nil {
 		return err
 	}
-	rs.stats.Sweeps++
-	rs.stats.SweepGates += k
-	s.noteLevel(rs, giLedger, lvl)
-	s.maybeEscalate(rs)
+	for _, rs := range ls.rss {
+		rs.stats.Sweeps++
+		rs.stats.SweepGates += k
+	}
 	return nil
 }

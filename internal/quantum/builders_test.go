@@ -288,8 +288,12 @@ func TestRandomCircuitProperties(t *testing.T) {
 	if c.Depth() < 150 {
 		t.Fatalf("depth %d < requested", c.Depth())
 	}
-	if c.MaxTarget() >= 7 {
-		t.Fatalf("qubit out of range")
+	for _, g := range c.Gates {
+		for _, q := range append([]int{g.Target}, g.Controls...) {
+			if q < 0 || q >= 7 {
+				t.Fatalf("gate %s touches qubit %d, out of range", g.Name, q)
+			}
+		}
 	}
 	st := NewState(7)
 	st.ApplyCircuit(c)

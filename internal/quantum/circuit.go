@@ -130,19 +130,3 @@ func (c *Circuit) CountKind(name string) int {
 	}
 	return n
 }
-
-// MaxTarget returns the largest qubit index any gate touches.
-func (c *Circuit) MaxTarget() int {
-	m := 0
-	for _, g := range c.Gates {
-		if g.Target > m {
-			m = g.Target
-		}
-		for _, q := range g.Controls {
-			if q > m {
-				m = q
-			}
-		}
-	}
-	return m
-}

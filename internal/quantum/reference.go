@@ -144,6 +144,8 @@ func (s *State) Probability(i uint64) float64 {
 }
 
 // Fidelity returns |⟨a|b⟩| — the paper's Eq. 9 pure-state fidelity.
+//
+//qclint:allow deadexport TestFidelity and the fusion and builder tests compare states with it
 func Fidelity(a, b *State) float64 {
 	if a.N != b.N {
 		panic("quantum: fidelity of mismatched states")

@@ -7,6 +7,7 @@ import (
 	"qcsim/lint/analyzers/allowdirective"
 	"qcsim/lint/analyzers/blockaccess"
 	"qcsim/lint/analyzers/ctxflow"
+	"qcsim/lint/analyzers/deadexport"
 	"qcsim/lint/analyzers/detrand"
 	"qcsim/lint/analyzers/errwrap"
 	"qcsim/lint/analyzers/importboundary"
@@ -22,6 +23,7 @@ func All() []*analysis.Analyzer {
 		errwrap.Analyzer,
 		detrand.Analyzer,
 		ctxflow.Analyzer,
+		deadexport.Analyzer,
 	}
 	names := make([]string, 0, len(core))
 	for _, a := range core {

@@ -8,8 +8,8 @@ import (
 
 func TestSuite(t *testing.T) {
 	all := registry.All()
-	if len(all) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {

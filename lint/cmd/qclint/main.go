@@ -58,13 +58,17 @@ func main() {
 		fatalf("%v", err)
 	}
 
+	targets := make([]*analysis.Target, len(pkgs))
+	for i, pkg := range pkgs {
+		targets[i] = pkg.Target()
+		targets[i].Module = targets
+	}
 	bad := 0
-	for _, pkg := range pkgs {
-		target := pkg.Target()
+	for _, target := range targets {
 		for _, a := range suite {
 			findings, err := analysis.Run(a, target)
 			if err != nil {
-				fatalf("%s on %s: %v", a.Name, pkg.PkgPath, err)
+				fatalf("%s on %s: %v", a.Name, target.PkgPath, err)
 			}
 			for _, f := range findings {
 				bad++

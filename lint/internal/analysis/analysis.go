@@ -45,6 +45,14 @@ type Pass struct {
 	// selection tables.
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Module is every package of the run, this one included, for a
+	// whole-module rule that must see references from the packages
+	// importing this one (deadexport). x/tools has no counterpart: its
+	// facts flow from a package's dependencies, never from its
+	// importers. Each package was type-checked against export data, so
+	// an object seen through another package's TypesInfo is not the
+	// object this package declares — match by package path and name.
+	Module []*Target
 	// Report records one diagnostic.
 	Report func(Diagnostic)
 }
@@ -81,6 +89,8 @@ type Target struct {
 	PkgPath   string
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Module is every target of the run (see Pass.Module).
+	Module []*Target
 }
 
 // Run executes one analyzer over a target package, applies
@@ -95,6 +105,7 @@ func Run(a *Analyzer, t *Target) ([]Finding, error) {
 		PkgPath:   t.PkgPath,
 		Pkg:       t.Pkg,
 		TypesInfo: t.TypesInfo,
+		Module:    t.Module,
 		Report:    func(d Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {

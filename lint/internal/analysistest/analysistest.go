@@ -37,18 +37,26 @@ func TestData() string {
 
 // Run loads each fixture package, applies the analyzer (with
 // //qclint:allow suppression, exactly as the driver does), and
-// reports mismatches against the fixtures' // want expectations.
+// reports mismatches against the fixtures' // want expectations. The
+// loaded fixtures together form the run's module (Pass.Module).
 func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
+	var pkgs []*load.Package
+	var module []*analysis.Target
 	for _, path := range pkgPaths {
 		pkg, err := load.LoadFixture(srcRoot, path)
 		if err != nil {
 			t.Errorf("loading fixture %q: %v", path, err)
 			continue
 		}
-		findings, err := analysis.Run(a, pkg.Target())
+		pkgs = append(pkgs, pkg)
+		module = append(module, pkg.Target())
+	}
+	for i, pkg := range pkgs {
+		module[i].Module = module
+		findings, err := analysis.Run(a, module[i])
 		if err != nil {
-			t.Errorf("running %s on %q: %v", a.Name, path, err)
+			t.Errorf("running %s on %q: %v", a.Name, pkg.PkgPath, err)
 			continue
 		}
 		checkExpectations(t, pkg, findings)
