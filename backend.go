@@ -78,7 +78,7 @@ type backend interface {
 
 	// Shot-based readout: probability tables built once, draws from the
 	// backend's seeded sampling stream.
-	NewSampler(cacheLines int) (backendSampler, error)
+	NewSampler() (backendSampler, error)
 
 	// Checkpointing (ErrUnsupportedOp where not implemented).
 	Save(w io.Writer) error
@@ -105,8 +105,8 @@ type compressedBackend struct {
 
 func (b compressedBackend) Name() string { return BackendCompressed }
 
-func (b compressedBackend) NewSampler(cacheLines int) (backendSampler, error) {
-	sp, err := b.Simulator.NewSampler(cacheLines)
+func (b compressedBackend) NewSampler() (backendSampler, error) {
+	sp, err := b.Simulator.NewSampler()
 	if err != nil {
 		return nil, err
 	}

@@ -201,9 +201,7 @@ type mpsSampler struct {
 }
 
 // NewSampler builds the right-environment tables in one O(n·χ³) sweep.
-// cacheLines is the compressed engine's decompressed-block LRU size; an
-// MPS has no blocks to cache, so it is ignored.
-func (b *mpsBackend) NewSampler(cacheLines int) (backendSampler, error) {
+func (b *mpsBackend) NewSampler() (backendSampler, error) {
 	sp, err := b.st.NewSampler()
 	if err != nil {
 		return nil, err

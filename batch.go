@@ -122,11 +122,7 @@ func (s *Simulator) retainBatch(sims []*core.Simulator) {
 	}
 	s.batch = make([]*Simulator, len(sims))
 	for v, cs := range sims {
-		s.batch[v] = &Simulator{
-			qubits:      s.qubits,
-			be:          compressedBackend{cs},
-			sampleCache: s.sampleCache,
-		}
+		s.batch[v] = &Simulator{qubits: s.qubits, be: compressedBackend{cs}}
 	}
 }
 

@@ -28,7 +28,8 @@ func Experiments() []Experiment { return harness.Experiments() }
 // Lookup finds an experiment by ID.
 func Lookup(id string) (Experiment, bool) { return harness.Lookup(id) }
 
-// IDs returns the experiment IDs in presentation order.
+// IDs returns the experiment IDs sorted alphabetically; Experiments
+// keeps presentation order.
 func IDs() []string { return harness.IDs() }
 
 // ExportCSV writes every figure's data as CSV files into dir.

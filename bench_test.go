@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation. Custom metrics (compression ratios, fidelity bounds,
 // speedups) are attached via b.ReportMetric so `go test -bench=.`
-// reproduces the numbers EXPERIMENTS.md records.
+// reproduces the paper's numbers at the scale README's "Reproducing the
+// paper" describes.
 package qcsim
 
 import (
@@ -434,9 +435,9 @@ func BenchmarkSweepScheduler(b *testing.B) {
 // engine's original path (decompress the whole 2^20-amplitude vector,
 // linear-scan it once per shot), "streaming" builds the block-level CDF
 // once and resolves each shot by binary search + one block decompress
-// through the sampler's LRU. The reported speedup is the tentpole
-// metric (target ≥10×); outcomes are bit-identical between the modes
-// for the same seed.
+// (byte-identical blocks reuse the last decode). The reported speedup
+// is the headline metric (target ≥10×); outcomes are bit-identical
+// between the modes for the same seed.
 func BenchmarkSampler(b *testing.B) {
 	const qubits, blockAmps, shots = 20, 4096, 1024
 	s, err := core.New(core.Config{Qubits: qubits, Ranks: 1, BlockAmps: blockAmps, Seed: 3})
@@ -466,7 +467,7 @@ func BenchmarkSampler(b *testing.B) {
 		return out
 	}
 	streaming := func(rng *rand.Rand) []uint64 {
-		sp, err := s.NewSampler(8)
+		sp, err := s.NewSampler()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -547,7 +548,7 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md design choices) ---
+// --- Ablations of the engine's design choices ---
 
 // BenchmarkAblationCache quantifies the §3.4 block cache on a
 // redundancy-heavy workload.

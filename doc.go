@@ -45,9 +45,11 @@
 // FullState limit. A Sampler builds a two-level CDF in one pass over
 // the blocks (per-block probability masses plus their prefix sums);
 // each shot then binary-searches the block prefix, decompresses only
-// its hit block through a small LRU (WithSampleCache), and resolves the
-// offset by an intra-block scan — O(blocks + shots·(log blocks +
-// blockAmps)) total.
+// its hit block, and resolves the offset by an intra-block scan —
+// O(blocks + shots·(log blocks + blockAmps)) total. Draws resolve in
+// sorted order, so each block decodes at most once per call, and the
+// sampler holds only the last decoded block: a block whose compressed
+// bytes equal it reuses its amplitudes instead of decoding again.
 //
 // Normalization contract: every draw is scaled by the CDF's true total
 // mass Σ|aᵢ|² (Sampler.TotalMass). Lossy compression legitimately lets

@@ -78,30 +78,22 @@ func (s *Simulator) jointDistribution(a, b int) ([4]float64, error) {
 	if a == b || a < 0 || b < 0 || a >= s.cfg.Qubits || b >= s.cfg.Qubits {
 		return joint, fmt.Errorf("%w (%d, %d)", ErrInvalidPair, a, b)
 	}
-	scratch := make([]float64, 2*s.blockAmps())
-	for r, rs := range s.ranks {
-		for blk := 0; blk < s.blocksPerRank(); blk++ {
-			blob, err := rs.store.Peek(blk)
-			if err != nil {
-				return joint, err
+	err := s.eachBlock(nil, func(base uint64, amps []float64) {
+		for o := 0; o < len(amps)/2; o++ {
+			idx := base + uint64(o)
+			k := 0
+			if idx&(1<<uint(a)) != 0 {
+				k |= 2
 			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return joint, err
+			if idx&(1<<uint(b)) != 0 {
+				k |= 1
 			}
-			base := s.compose(r, blk, 0)
-			for o := 0; o < s.blockAmps(); o++ {
-				idx := base + uint64(o)
-				k := 0
-				if idx&(1<<uint(a)) != 0 {
-					k |= 2
-				}
-				if idx&(1<<uint(b)) != 0 {
-					k |= 1
-				}
-				re, im := scratch[2*o], scratch[2*o+1]
-				joint[k] += re*re + im*im
-			}
+			re, im := amps[2*o], amps[2*o+1]
+			joint[k] += re*re + im*im
 		}
+	})
+	if err != nil {
+		return [4]float64{}, err
 	}
 	return joint, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -113,13 +114,16 @@ func (s *Simulator) Load(r io.Reader) error {
 	if nMeas < 0 || nMeas > gatesRun {
 		return fmt.Errorf("core: checkpoint measurement count %d invalid", nMeas)
 	}
-	meas := make([]int, nMeas)
-	for i := range meas {
+	// Size fields come from the file: every buffer below grows with
+	// the bytes actually present, never to a claimed length, so a short
+	// file with huge counts fails on EOF instead of exhausting memory.
+	meas := []int{}
+	for i := 0; i < nMeas; i++ {
 		var m uint8
 		if err := binary.Read(tr, binary.LittleEndian, &m); err != nil {
 			return fmt.Errorf("core: checkpoint measurements: %w", err)
 		}
-		meas[i] = int(m)
+		meas = append(meas, int(m))
 	}
 	levels := make([]int, len(s.ranks))
 	staging := make([]blockstore.Store, 0, len(s.ranks))
@@ -129,6 +133,7 @@ func (s *Simulator) Load(r io.Reader) error {
 		}
 	}
 	scratch := make([]float64, 2*s.blockAmps())
+	var raw bytes.Buffer
 	for ri := range s.ranks {
 		var level uint8
 		if err := binary.Read(tr, binary.LittleEndian, &level); err != nil {
@@ -165,11 +170,15 @@ func (s *Simulator) Load(r io.Reader) error {
 				closeStaging()
 				return fmt.Errorf("core: checkpoint block of %d bytes implausible", bl)
 			}
-			blob := make([]byte, bl)
-			if _, err := io.ReadFull(tr, blob); err != nil {
+			raw.Reset()
+			if n, err := io.CopyN(&raw, tr, int64(bl)); err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
 				closeStaging()
-				return fmt.Errorf("core: checkpoint block: %w", err)
+				return fmt.Errorf("core: checkpoint block: %d of %d bytes: %w", n, bl, err)
 			}
+			blob := bytes.Clone(raw.Bytes())
 			// Validate on the way in — the blob may spill immediately,
 			// and a corrupt checkpoint must be rejected before commit.
 			if err := s.decodeBlob(blob, scratch); err != nil {

@@ -10,8 +10,9 @@
 // A hybrid adaptive pipeline (§3.7) starts lossless and relaxes through
 // pointwise-relative bounds 1E-5 → 1E-1 whenever the compressed
 // footprint exceeds the memory budget, while the fidelity ledger tracks
-// the lower bound Π(1-δᵢ) (Eq. 11). A 64-line LRU compressed-block
-// cache (§3.4) short-circuits repeated (gate, block-pair) computations.
+// the lower bound Π(1-δᵢ) (Eq. 11). An optional LRU compressed-block
+// cache (§3.4; off unless Config.CacheLines > 0, the paper uses 64
+// lines) short-circuits repeated (gate, block-pair) computations.
 package core
 
 import (

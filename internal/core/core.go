@@ -354,12 +354,19 @@ func (s *Simulator) compressBlock(level int, scratch []float64, st *Stats) ([]by
 	return blob, nil
 }
 
-// decompressBlock decodes a stored block into scratch, charging the
-// timing to st.
+// decompressBlock is decodeBlob with the timing charged to st — the
+// hot path's decoder.
 func (s *Simulator) decompressBlock(blob []byte, scratch []float64, st *Stats) error {
 	start := time.Now()
 	st.DecompressCalls++
 	defer func() { st.DecompressTime += time.Since(start) }()
+	return s.decodeBlob(blob, scratch)
+}
+
+// decodeBlob decodes a stored block into scratch by its codec tag,
+// touching no rank stats — the inspection paths call it directly, so
+// reading the state never skews the Table 2 time breakdown.
+func (s *Simulator) decodeBlob(blob []byte, scratch []float64) error {
 	if len(blob) == 0 {
 		return fmt.Errorf("core: empty block")
 	}

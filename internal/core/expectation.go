@@ -59,42 +59,34 @@ func (s *Simulator) DiagonalExpectation(zs []ZTerm, zzs []ZZTerm) (float64, erro
 		}
 	}
 	var acc float64
-	scratch := make([]float64, 2*s.blockAmps())
-	for r, rs := range s.ranks {
-		for blk := 0; blk < s.blocksPerRank(); blk++ {
-			blob, err := rs.store.Peek(blk)
-			if err != nil {
-				return 0, err
+	err := s.eachBlock(nil, func(base uint64, amps []float64) {
+		for o := 0; o < len(amps)/2; o++ {
+			re, im := amps[2*o], amps[2*o+1]
+			p := re*re + im*im
+			if p == 0 {
+				continue
 			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return 0, err
+			idx := base + uint64(o)
+			var w float64
+			for _, t := range zs {
+				if idx>>uint(t.Q)&1 == 0 {
+					w += t.W
+				} else {
+					w -= t.W
+				}
 			}
-			base := s.compose(r, blk, 0)
-			for o := 0; o < s.blockAmps(); o++ {
-				re, im := scratch[2*o], scratch[2*o+1]
-				p := re*re + im*im
-				if p == 0 {
-					continue
+			for _, t := range zzs {
+				if (idx>>uint(t.A)^idx>>uint(t.B))&1 == 0 {
+					w += t.W
+				} else {
+					w -= t.W
 				}
-				idx := base + uint64(o)
-				var w float64
-				for _, t := range zs {
-					if idx>>uint(t.Q)&1 == 0 {
-						w += t.W
-					} else {
-						w -= t.W
-					}
-				}
-				for _, t := range zzs {
-					if (idx>>uint(t.A)^idx>>uint(t.B))&1 == 0 {
-						w += t.W
-					} else {
-						w -= t.W
-					}
-				}
-				acc += p * w
 			}
+			acc += p * w
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	return acc, nil
 }

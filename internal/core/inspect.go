@@ -2,38 +2,36 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
-// decodeBlob decompresses a stored block without touching rank stats —
-// the inspection path, so reading the state never skews the Table 2
-// time breakdown.
-func (s *Simulator) decodeBlob(blob []byte, scratch []float64) error {
-	if len(blob) == 0 {
-		return fmt.Errorf("core: empty block")
-	}
-	switch blob[0] {
-	case tagRaw:
-		if len(blob) != 1+len(scratch)*8 {
-			return fmt.Errorf("core: raw block size %d", len(blob))
+// eachBlock is the one read-only walk over the compressed state: it
+// visits blocks in (rank, block) order — global index order, so a fold
+// over the visits accumulates exactly like a fold over FullState —
+// decoding each into one scratch buffer and handing visit the block's
+// first global index and its interleaved re/im amplitudes. Blocks whose
+// base skip rejects are neither read nor decoded; a nil skip visits
+// every block. Reads go through Peek, not Get: inspection must not
+// disturb the resident set a tiered store keeps for the hot path.
+func (s *Simulator) eachBlock(skip func(base uint64) bool, visit func(base uint64, amps []float64)) error {
+	scratch := make([]float64, 2*s.blockAmps())
+	for r, rs := range s.ranks {
+		for b := 0; b < s.blocksPerRank(); b++ {
+			base := s.compose(r, b, 0)
+			if skip != nil && skip(base) {
+				continue
+			}
+			blob, err := rs.store.Peek(b)
+			if err != nil {
+				return err
+			}
+			if err := s.decodeBlob(blob, scratch); err != nil {
+				return err
+			}
+			visit(base, scratch)
 		}
-		for i := range scratch {
-			scratch[i] = math.Float64frombits(leUint64(blob[1+i*8:]))
-		}
-		return nil
-	case tagLossless:
-		return s.cfg.Lossless.Decompress(scratch, blob[1:])
-	case tagLossy:
-		return s.cfg.Lossy.Decompress(scratch, blob[1:])
-	default:
-		return fmt.Errorf("core: unknown block tag %d", blob[0])
 	}
-}
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return nil
 }
 
 // Amplitude returns ⟨idx|ψ⟩, decompressing only the containing block.
@@ -61,21 +59,13 @@ func (s *Simulator) FullState() ([]complex128, error) {
 		return nil, fmt.Errorf("core: FullState on %d qubits would allocate %s", s.cfg.Qubits, fmtBytes(MemoryRequirement(s.cfg.Qubits)))
 	}
 	out := make([]complex128, 1<<uint(s.cfg.Qubits))
-	scratch := make([]float64, 2*s.blockAmps())
-	for r, rs := range s.ranks {
-		for b := 0; b < s.blocksPerRank(); b++ {
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return nil, err
-			}
-			base := s.compose(r, b, 0)
-			for o := 0; o < s.blockAmps(); o++ {
-				out[base+uint64(o)] = complex(scratch[2*o], scratch[2*o+1])
-			}
+	err := s.eachBlock(nil, func(base uint64, amps []float64) {
+		for o := 0; o < len(amps)/2; o++ {
+			out[base+uint64(o)] = complex(amps[2*o], amps[2*o+1])
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -83,20 +73,13 @@ func (s *Simulator) FullState() ([]complex128, error) {
 // Norm returns Σ|aᵢ|² across the full compressed state.
 func (s *Simulator) Norm() (float64, error) {
 	var n float64
-	scratch := make([]float64, 2*s.blockAmps())
-	for _, rs := range s.ranks {
-		for b := 0; b < s.blocksPerRank(); b++ {
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return 0, err
-			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return 0, err
-			}
-			for _, v := range scratch {
-				n += v * v
-			}
+	err := s.eachBlock(nil, func(_ uint64, amps []float64) {
+		for _, v := range amps {
+			n += v * v
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	return n, nil
 }
@@ -106,37 +89,25 @@ func (s *Simulator) ProbabilityOne(q int) (float64, error) {
 	if q < 0 || q >= s.cfg.Qubits {
 		return 0, fmt.Errorf("core: qubit %d out of range", q)
 	}
+	mask := uint64(1) << uint(q)
+	// A block qubit is constant across a block: skip the q=0 blocks
+	// without decoding them.
+	skip := func(base uint64) bool { return q >= s.offsetBits && base&mask == 0 }
 	var p float64
-	scratch := make([]float64, 2*s.blockAmps())
-	for r, rs := range s.ranks {
-		for b := 0; b < s.blocksPerRank(); b++ {
-			base := s.compose(r, b, 0)
-			if base&(1<<uint(q)) == 0 && q >= s.offsetBits {
-				continue // whole block has q=0
+	err := s.eachBlock(skip, func(base uint64, amps []float64) {
+		for o := 0; o < len(amps)/2; o++ {
+			if (base+uint64(o))&mask == 0 {
+				continue
 			}
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return 0, err
-			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return 0, err
-			}
-			for o := 0; o < s.blockAmps(); o++ {
-				idx := base + uint64(o)
-				if idx&(1<<uint(q)) == 0 {
-					continue
-				}
-				re, im := scratch[2*o], scratch[2*o+1]
-				p += re*re + im*im
-			}
+			re, im := amps[2*o], amps[2*o+1]
+			p += re*re + im*im
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	return p, nil
 }
-
-// defaultSampleCacheBlocks sizes the decompressed-block LRU of the
-// one-shot Sample convenience path; Sampler callers pick their own.
-const defaultSampleCacheBlocks = 4
 
 // Sample draws `shots` full-register outcomes from the compressed state
 // without collapsing it, via a throwaway streaming Sampler — the state
@@ -148,7 +119,7 @@ const defaultSampleCacheBlocks = 4
 // repeatedly from an unchanged state should hold a NewSampler instead
 // and amortize the CDF build.
 func (s *Simulator) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
-	sp, err := s.NewSampler(defaultSampleCacheBlocks)
+	sp, err := s.NewSampler()
 	if err != nil {
 		return nil, err
 	}

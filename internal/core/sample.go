@@ -1,7 +1,7 @@
 package core
 
 import (
-	"container/list"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,12 +14,13 @@ import (
 // CDF over the compressed state — per-block probability masses folded
 // into a global block prefix sum — built in one worker-pool pass over
 // each rank's blocks. A shot binary-searches the block prefix for its
-// containing block, decompresses only that block (through a small LRU
-// so clustered shots amortize codec work; draws are resolved in sorted
-// order, so each block decompresses at most once per call), and
-// resolves the offset by an intra-block prefix scan: O(blocks +
-// shots·(log shots + log blocks + blockAmps)) instead of the old
-// FullState path's O(shots·2^n), with no cap on the register width.
+// containing block, decompresses only that block (draws are resolved
+// in sorted order, so each block decompresses at most once per call,
+// and a block whose blob is byte-identical to the last one decoded
+// reuses its amplitudes), and resolves the offset by an intra-block
+// prefix scan: O(blocks + shots·(log shots + log blocks + blockAmps))
+// instead of the old FullState path's O(shots·2^n), with no cap on the
+// register width.
 //
 // Draws are normalized by the CDF's true total mass. Under lossy
 // codecs the state's norm drifts below 1; the old linear scan compared
@@ -48,20 +49,20 @@ type Sampler struct {
 	cum   []float64
 	total float64
 	ba    int
-	cache *decodedLRU
-	// memoMax is the blob-size cutoff below which blocks are treated as
-	// content-addressed (identical bytes ⇒ identical amplitudes), both
-	// while building the CDF and in the shot-time decoded-block LRU.
-	memoMax int
+	// lastBlob and amps are the most recently decoded block: a shot
+	// into a block whose blob is byte-identical reuses amps instead of
+	// decoding again (identical bytes ⇒ identical amplitudes, the rule
+	// the CDF memo relies on). Stored blobs are immutable, so holding
+	// the store's slice is safe.
+	lastBlob []byte
+	amps     []float64
 }
 
 // NewSampler builds the two-level CDF in one worker-pool pass over each
-// rank's blocks and returns a Sampler holding it. cacheBlocks bounds
-// the LRU of decompressed blocks kept hot during Sample (minimum 1, so
-// repeated shots into one block always amortize; ~16·BlockAmps bytes
-// per line). The pass charges nothing to the rank stats — sampling is
-// an inspection path and must not skew the Table 2 time breakdown.
-func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
+// rank's blocks and returns a Sampler holding it. The pass charges
+// nothing to the rank stats — sampling is an inspection path and must
+// not skew the Table 2 time breakdown.
+func (s *Simulator) NewSampler() (*Sampler, error) {
 	nb := s.blocksPerRank()
 	ba := s.blockAmps()
 	masses := make([]float64, len(s.ranks)*nb)
@@ -127,17 +128,13 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 	if !(total > 0) {
 		return nil, ErrZeroMass
 	}
-	if cacheBlocks < 1 {
-		cacheBlocks = 1
-	}
 	return &Sampler{
 		s:       s,
 		version: s.version,
 		cum:     masses,
 		total:   total,
 		ba:      ba,
-		cache:   newDecodedLRU(cacheBlocks),
-		memoMax: memoMaxBlob,
+		amps:    make([]float64, 2*ba),
 	}, nil
 }
 
@@ -167,9 +164,8 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 	// then resolve in ascending-u order: shots landing in one block
 	// become adjacent, so each block is decompressed at most once per
 	// call no matter how the shots scatter — without this, dense states
-	// with more blocks than LRU lines would pay one codec round trip
-	// per shot. Resolution is read-only and per-shot independent, so
-	// the reordering changes no outcome.
+	// would pay one codec round trip per shot. Resolution is read-only
+	// and per-shot independent, so the reordering changes no outcome.
 	us := make([]float64, shots)
 	for k := range us {
 		us[k] = rng.Float64() * sp.total
@@ -199,8 +195,7 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 	sp.hintDrawOrder(gbs)
 	out := make([]uint64, shots)
 	// Sorted resolution makes consecutive shots hit the same block most
-	// of the time; the one-entry memo skips the LRU key construction
-	// (and its blob copy) for those.
+	// of the time; those skip the store read and the blob comparison.
 	lastGB := -1
 	var amps []float64
 	for i, k := range order {
@@ -283,10 +278,10 @@ func blockMass(cum []float64, g int) float64 {
 	return cum[g] - cum[g-1]
 }
 
-// block returns global block gb decompressed, through the LRU. Compact
-// blobs cache by content, so a redundant state (many byte-identical
-// compressed blocks) occupies one line no matter which blocks the shots
-// land in; dense blobs cache by block index, skipping the content hash.
+// block returns global block gb decompressed, reusing the last decoded
+// block's amplitudes when gb's blob is byte-identical to it — so a
+// redundant state (many byte-identical compressed blocks) decodes once
+// no matter how many blocks the shots land in.
 func (sp *Sampler) block(gb int) ([]float64, error) {
 	nb := sp.s.blocksPerRank()
 	rs := sp.s.ranks[gb/nb]
@@ -294,62 +289,13 @@ func (sp *Sampler) block(gb int) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: sampler: rank %d block %d: %w", rs.id, gb%nb, err)
 	}
-	key := decodedKey(gb, blob, sp.memoMax)
-	if amps, ok := sp.cache.get(key); ok {
-		return amps, nil
+	if sp.lastBlob != nil && bytes.Equal(blob, sp.lastBlob) {
+		return sp.amps, nil
 	}
-	amps := make([]float64, 2*sp.ba)
-	if err := sp.s.decodeBlob(blob, amps); err != nil {
+	sp.lastBlob = nil // amps is about to be overwritten
+	if err := sp.s.decodeBlob(blob, sp.amps); err != nil {
 		return nil, fmt.Errorf("core: sampler: rank %d block %d: %w", rs.id, gb%nb, err)
 	}
-	sp.cache.put(key, amps)
-	return amps, nil
-}
-
-// decodedKey builds the LRU key: a "c"-prefixed copy of the blob bytes
-// for compact (plausibly repeated) blobs, an "i"-prefixed block index
-// otherwise. The prefix byte keeps the two namespaces disjoint.
-func decodedKey(gb int, blob []byte, memoMax int) string {
-	if len(blob) <= memoMax {
-		return "c" + string(blob)
-	}
-	return fmt.Sprintf("i%d", gb)
-}
-
-// decodedLRU is a tiny LRU of decompressed blocks. Single-goroutine by
-// contract (the Sampler is not safe for concurrent use), so no lock.
-type decodedLRU struct {
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type decodedEntry struct {
-	key  string
-	amps []float64
-}
-
-func newDecodedLRU(capacity int) *decodedLRU {
-	return &decodedLRU{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
-}
-
-func (c *decodedLRU) get(key string) ([]float64, bool) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*decodedEntry).amps, true
-	}
-	return nil, false
-}
-
-func (c *decodedLRU) put(key string, amps []float64) {
-	for c.ll.Len() >= c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*decodedEntry).key)
-	}
-	c.items[key] = c.ll.PushFront(&decodedEntry{key: key, amps: amps})
+	sp.lastBlob = blob
+	return sp.amps, nil
 }

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"qcsim/internal/compress"
+	"qcsim/internal/compress/lossless"
 	"qcsim/internal/quantum"
 )
 
@@ -186,7 +190,7 @@ func TestSampleLossyNormBiasFixed(t *testing.T) {
 			t.Fatalf("shot %d: sampled even index %d, which has zero amplitude (lossy fall-through bias)", i, v)
 		}
 	}
-	sp, err := s.NewSampler(2)
+	sp, err := s.NewSampler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +219,7 @@ func TestSamplerStaleness(t *testing.T) {
 		{"load", func() error { return s.Load(bytes.NewReader(ckpt.Bytes())) }},
 	}
 	for _, m := range mutate {
-		sp, err := s.NewSampler(1)
+		sp, err := s.NewSampler()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +242,7 @@ func TestSamplerRejectsBadInput(t *testing.T) {
 	if _, err := s.Sample(nil, -1); err == nil {
 		t.Fatal("negative shot count accepted")
 	}
-	sp, err := s.NewSampler(1)
+	sp, err := s.NewSampler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +253,7 @@ func TestSamplerRejectsBadInput(t *testing.T) {
 	if err := s.ranks[0].store.Put(1, []byte{0xFF, 0x01}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NewSampler(1); err == nil {
+	if _, err := s.NewSampler(); err == nil {
 		t.Fatal("sampler built over a corrupt block")
 	}
 }
@@ -267,7 +271,7 @@ func TestSamplerLargeRegister(t *testing.T) {
 	if err := s.SetBasisState(target); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.NewSampler(2)
+	sp, err := s.NewSampler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,16 +289,17 @@ func TestSamplerLargeRegister(t *testing.T) {
 	}
 }
 
-// TestSamplerCacheAmortizes: clustered shots must hit the decoded-block
-// LRU instead of re-running the codec. Observed indirectly: sampling a
-// single-block-support state with a 1-line cache must still work and
-// return only in-support outcomes.
+// TestSamplerCacheAmortizes: clustered shots must reuse the block
+// decoded last instead of re-running the codec. Observed indirectly:
+// sampling a single-block-support state must still work and return
+// only in-support outcomes (TestSamplerDecodesOncePerBlock counts the
+// decodes).
 func TestSamplerCacheAmortizes(t *testing.T) {
 	s := newSim(t, 8, 1, 16, nil)
 	if err := s.Run(quantum.NewCircuit(8).H(0).H(1)); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.NewSampler(1)
+	sp, err := s.NewSampler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,5 +311,60 @@ func TestSamplerCacheAmortizes(t *testing.T) {
 		if v >= 4 {
 			t.Fatalf("shot %d: outcome %d outside the H(0)H(1) support", i, v)
 		}
+	}
+}
+
+// countingCodec counts Decompress calls on the codec it wraps.
+type countingCodec struct {
+	compress.Codec
+	decodes atomic.Int64
+}
+
+func (c *countingCodec) Decompress(dst []float64, data []byte) error {
+	c.decodes.Add(1)
+	return c.Codec.Decompress(dst, data)
+}
+
+// TestSamplerDecodesOncePerBlock counts codec decodes during Sample
+// alone (not the CDF build): sorted resolution decodes each visited
+// block at most once, and a state whose blobs are all byte-identical
+// decodes exactly once, since the sampler reuses the last decoded
+// block for equal bytes.
+func TestSamplerDecodesOncePerBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cir   *quantum.Circuit
+		exact bool
+	}{
+		{"dense", quantum.RandomCircuit(10, 80, 5), false},
+		{"hadamard", quantum.HadamardAll(10), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			codec := &countingCodec{Codec: lossless.New(flate.BestSpeed, false)}
+			s := newSim(t, 10, 2, 16, func(c *Config) { c.Lossless = codec })
+			if err := s.Run(tc.cir); err != nil {
+				t.Fatal(err)
+			}
+			sp, err := s.NewSampler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			codec.decodes.Store(0)
+			out, err := sp.Sample(rand.New(rand.NewSource(8)), 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visited := map[uint64]bool{}
+			for _, v := range out {
+				visited[v>>4] = true // 16 amplitudes per block
+			}
+			got := codec.decodes.Load()
+			if tc.exact && got != 1 {
+				t.Fatalf("%d decodes over %d visited blocks of identical blobs, want 1", got, len(visited))
+			}
+			if got < 1 || got > int64(len(visited)) {
+				t.Fatalf("%d decodes, want 1..%d (one per visited block at most)", got, len(visited))
+			}
+		})
 	}
 }

@@ -23,30 +23,30 @@ import (
 // BatchRow is one workload measurement of the variant-batching
 // experiment.
 type BatchRow struct {
-	Benchmark string
-	Qubits    int
+	Benchmark string `csv:"benchmark"`
+	Qubits    int    `csv:"qubits"`
 	// Gates is the per-variant gate count (all variants share a shape).
-	Gates int
+	Gates int `csv:"gates"`
 	// Variants is the batch width K = 1 base + 2·shifted occurrences.
-	Variants int
+	Variants int `csv:"variants"`
 
 	// CodecCallsSolo and CodecCallsBatch count run-phase
 	// compress+decompress invocations (initialization excluded): the K
 	// sequential runs summed, and the one lockstep batch.
-	CodecCallsSolo  int64
-	CodecCallsBatch int64
+	CodecCallsSolo  int64 `csv:"codec_calls_solo"`
+	CodecCallsBatch int64 `csv:"codec_calls_batch"`
 	// PerVariantSolo/Batch are the same counts divided by K.
-	PerVariantSolo  float64
-	PerVariantBatch float64
+	PerVariantSolo  float64 `csv:"per_variant_solo"`
+	PerVariantBatch float64 `csv:"per_variant_batch"`
 	// Reduction is CodecCallsSolo / CodecCallsBatch — deterministic at
 	// the single-worker configuration this experiment pins.
-	Reduction float64
+	Reduction float64 `csv:"reduction"`
 	// PassesShared counts codec passes served from the batch cache
 	// instead of re-run (summed over variants).
-	PassesShared int64
+	PassesShared int64 `csv:"passes_shared"`
 
-	ElapsedSolo  time.Duration
-	ElapsedBatch time.Duration
+	ElapsedSolo  time.Duration `csv:"elapsed_solo_seconds"`
+	ElapsedBatch time.Duration `csv:"elapsed_batch_seconds"`
 }
 
 // batchWorkloads builds the parameterized ansatz workloads: the QAOA

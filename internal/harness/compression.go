@@ -20,10 +20,10 @@ var paperBounds = []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5}
 
 // RatioResult is one (codec, bound) compression-ratio measurement.
 type RatioResult struct {
-	Dataset string
-	Codec   string
-	Bound   float64
-	Ratio   float64
+	Dataset string  `csv:"dataset"`
+	Codec   string  `csv:"codec"`
+	Bound   float64 `csv:"bound"`
+	Ratio   float64 `csv:"ratio"`
 }
 
 // MeasureRatios compresses every block of data with codec under each
@@ -195,11 +195,11 @@ func runFig10(w io.Writer, opt Options) error {
 
 // RateResult is one (codec, bound) throughput measurement.
 type RateResult struct {
-	Dataset    string
-	Codec      string
-	Bound      float64
-	CompressMB float64 // MB/s
-	DecompMB   float64 // MB/s
+	Dataset    string  `csv:"dataset"`
+	Codec      string  `csv:"codec"`
+	Bound      float64 `csv:"bound"`
+	CompressMB float64 `csv:"compress_mb_s"`   // MB/s
+	DecompMB   float64 `csv:"decompress_mb_s"` // MB/s
 }
 
 // MeasureRates times compression and decompression of data per bound.

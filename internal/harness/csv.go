@@ -2,118 +2,19 @@ package harness
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"time"
 )
 
-// CSV export: each experiment's structured results can be written as a
-// CSV file for external plotting, mirroring the paper's figures.
-
-// WriteRatioCSV writes RatioResults as dataset,codec,bound,ratio rows.
-func WriteRatioCSV(w io.Writer, rs []RatioResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "codec", "bound", "ratio"}); err != nil {
-		return err
-	}
-	for _, r := range rs {
-		rec := []string{r.Dataset, r.Codec, fmtF(r.Bound), fmtF(r.Ratio)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteRateCSV writes RateResults.
-func WriteRateCSV(w io.Writer, rs []RateResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "codec", "bound", "compress_mb_s", "decompress_mb_s"}); err != nil {
-		return err
-	}
-	for _, r := range rs {
-		rec := []string{r.Dataset, r.Codec, fmtF(r.Bound), fmtF(r.CompressMB), fmtF(r.DecompMB)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTable2CSV writes Table2Rows.
-func WriteTable2CSV(w io.Writer, rows []Table2Row) error {
-	cw := csv.NewWriter(w)
-	hdr := []string{"benchmark", "qubits", "gates", "ranks", "mem_required_bytes",
-		"mem_budget_bytes", "total_seconds", "compress_pct", "decompress_pct",
-		"comm_pct", "compute_pct", "fidelity", "fidelity_lower_bound", "min_ratio"}
-	if err := cw.Write(hdr); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.Benchmark, strconv.Itoa(r.Qubits), strconv.Itoa(r.Gates), strconv.Itoa(r.Ranks),
-			fmtF(r.MemRequired), strconv.FormatInt(r.MemBudget, 10),
-			fmtF(r.TotalTime.Seconds()), fmtF(r.CompressPct), fmtF(r.DecompressPct),
-			fmtF(r.CommPct), fmtF(r.ComputePct), fmtF(r.Fidelity), fmtF(r.FidelityLow), fmtF(r.MinRatio),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteScalingCSV writes one scaling sweep (rank or worker) as
-// x,elapsed_seconds,relative rows, where relative is the sweep's own
-// normalization (normalized time for Figs. 5/15, speedup for 16/16b).
-func WriteScalingCSV(w io.Writer, xName, relName string, xs []int, elapsed []float64, rel []float64) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{xName, "elapsed_seconds", relName}); err != nil {
-		return err
-	}
-	for i := range xs {
-		if err := cw.Write([]string{strconv.Itoa(xs[i]), fmtF(elapsed[i]), fmtF(rel[i])}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteSpillCSV writes SpillResults: the resident high-water is the
-// RSS proxy, spilled_bytes the on-disk overflow, hit_rate the fraction
-// of disk reads the prefetcher absorbed.
-func WriteSpillCSV(w io.Writer, rows []SpillRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"benchmark", "qubits", "gates", "footprint_bytes",
-		"budget_bytes", "control_over_budget", "control_final_level", "control_seconds",
-		"max_resident_bytes", "spilled_bytes", "spill_writes", "spill_reads",
-		"prefetch_hits", "hit_rate", "spill_seconds", "spill_over_budget",
-		"spill_final_level"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{r.Benchmark, strconv.Itoa(r.Qubits), strconv.Itoa(r.Gates),
-			strconv.FormatInt(r.Footprint, 10), strconv.FormatInt(r.Budget, 10),
-			strconv.FormatBool(r.ControlOverBudget), strconv.Itoa(r.ControlFinalLevel),
-			fmtF(r.ControlElapsed.Seconds()),
-			strconv.FormatInt(r.MaxResident, 10), strconv.FormatInt(r.SpilledBytes, 10),
-			strconv.FormatInt(r.SpillWrites, 10), strconv.FormatInt(r.SpillReads, 10),
-			strconv.FormatInt(r.PrefetchHits, 10), fmtF(r.HitRate),
-			fmtF(r.SpillElapsed.Seconds()), strconv.FormatBool(r.SpillOverBudget),
-			strconv.Itoa(r.SpillFinalLevel)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+// CSV export: each experiment's structured rows are written as one CSV
+// file for external plotting, mirroring the paper's figures. A row type
+// names its columns with `csv:"name"` struct tags; untagged fields are
+// not exported.
 
 // ExportCSV runs the data-producing experiments and writes one CSV per
 // figure into dir.
@@ -121,214 +22,117 @@ func ExportCSV(dir string, opt Options) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, f func(w io.Writer) error) error {
-		fp, err := os.Create(filepath.Join(dir, name))
+	files := []struct {
+		name string
+		rows func(Options) (any, error)
+	}{
+		{"fig7_abs_ratio.csv", rowsOf(Fig7Results)},
+		{"fig8_rel_ratio.csv", rowsOf(Fig8Results)},
+		{"fig10_solutions_ratio.csv", rowsOf(Fig10Results)},
+		{"fig11_rates.csv", rowsOf(Fig11Results)},
+		{"table2.csv", rowsOf(Table2Results)},
+		{"fig16_strong_scaling.csv", rowsOf(Fig16Results)},
+		{"fig16w_worker_scaling.csv", rowsOf(WorkerScalingResults)},
+		{"sweep_codec_reduction.csv", rowsOf(SweepResults)},
+		{"batch.csv", rowsOf(BatchResults)},
+		{"sampling.csv", rowsOf(SamplingResults)},
+		{"spill.csv", rowsOf(SpillResults)},
+		{"crossover.csv", rowsOf(CrossoverResults)},
+		{"fig6_fidelity_bounds.csv", rowsOf(fig6Curves)},
+	}
+	for _, f := range files {
+		rows, err := f.rows(opt)
 		if err != nil {
 			return err
 		}
-		if err := f(fp); err != nil {
-			fp.Close()
-			return fmt.Errorf("%s: %w", name, err)
+		if err := writeCSV(filepath.Join(dir, f.name), rows); err != nil {
+			return fmt.Errorf("%s: %w", f.name, err)
 		}
-		return fp.Close()
 	}
-	fig7, err := Fig7Results(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("fig7_abs_ratio.csv", func(w io.Writer) error { return WriteRatioCSV(w, fig7) }); err != nil {
-		return err
-	}
-	fig8, err := Fig8Results(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("fig8_rel_ratio.csv", func(w io.Writer) error { return WriteRatioCSV(w, fig8) }); err != nil {
-		return err
-	}
-	fig10, err := Fig10Results(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("fig10_solutions_ratio.csv", func(w io.Writer) error { return WriteRatioCSV(w, fig10) }); err != nil {
-		return err
-	}
-	fig11, err := Fig11Results(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("fig11_rates.csv", func(w io.Writer) error { return WriteRateCSV(w, fig11) }); err != nil {
-		return err
-	}
-	t2, err := Table2Results(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("table2.csv", func(w io.Writer) error { return WriteTable2CSV(w, t2) }); err != nil {
-		return err
-	}
-	fig16, err := Fig16Results(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("fig16_strong_scaling.csv", func(w io.Writer) error {
-		xs := make([]int, len(fig16))
-		el := make([]float64, len(fig16))
-		rel := make([]float64, len(fig16))
-		for i, r := range fig16 {
-			xs[i], el[i], rel[i] = r.Ranks, r.Elapsed.Seconds(), r.Speedup
+	return nil
+}
+
+// rowsOf erases an experiment's row type so ExportCSV can table it.
+func rowsOf[R any](results func(Options) ([]R, error)) func(Options) (any, error) {
+	return func(opt Options) (any, error) { return results(opt) }
+}
+
+// fig6Row is one point of Fig. 6's closed-form Eq. 11 curves.
+type fig6Row struct {
+	Gates int     `csv:"gates"`
+	Bound float64 `csv:"bound"`
+	F     float64 `csv:"fidelity_lower_bound"`
+}
+
+// fig6Curves samples Π(1-δ) every 250 gates up to 5000 for each
+// constant per-gate bound δ.
+func fig6Curves(Options) ([]fig6Row, error) {
+	var rows []fig6Row
+	for _, d := range []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1} {
+		f := 1.0
+		for g := 1; g <= 5000; g++ {
+			f *= 1 - d
+			if g%250 == 0 {
+				rows = append(rows, fig6Row{Gates: g, Bound: d, F: f})
+			}
 		}
-		return WriteScalingCSV(w, "ranks", "speedup", xs, el, rel)
-	}); err != nil {
-		return err
 	}
-	fig16w, err := WorkerScalingResults(opt)
+	return rows, nil
+}
+
+var durationType = reflect.TypeOf(time.Duration(0))
+
+// writeCSV writes rows, a slice of structs, to path: a header of the
+// `csv` tags in field declaration order, then one record per row.
+// Durations are written as seconds and floats through fmtF.
+func writeCSV(path string, rows any) error {
+	v := reflect.ValueOf(rows)
+	t := v.Type().Elem()
+	var hdr []string
+	var cols []int
+	for i := 0; i < t.NumField(); i++ {
+		if name := t.Field(i).Tag.Get("csv"); name != "" {
+			hdr = append(hdr, name)
+			cols = append(cols, i)
+		}
+	}
+	fp, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write("fig16w_worker_scaling.csv", func(w io.Writer) error {
-		xs := make([]int, len(fig16w))
-		el := make([]float64, len(fig16w))
-		rel := make([]float64, len(fig16w))
-		for i, r := range fig16w {
-			xs[i], el[i], rel[i] = r.Workers, r.Elapsed.Seconds(), r.Speedup
-		}
-		return WriteScalingCSV(w, "workers", "speedup", xs, el, rel)
-	}); err != nil {
-		return err
-	}
-	sweep, err := SweepResults(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("sweep_codec_reduction.csv", func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"benchmark", "qubits", "gates", "codec_calls_off",
-			"codec_calls_on", "reduction", "sweeps", "sweep_gates", "passes_saved",
-			"elapsed_off_seconds", "elapsed_on_seconds"}); err != nil {
-			return err
-		}
-		for _, r := range sweep {
-			rec := []string{r.Benchmark, strconv.Itoa(r.Qubits), strconv.Itoa(r.Gates),
-				strconv.FormatInt(r.CodecCallsOff, 10), strconv.FormatInt(r.CodecCallsOn, 10),
-				fmtF(r.Reduction), strconv.Itoa(r.Sweeps), strconv.Itoa(r.SweepGates),
-				strconv.FormatInt(r.PassesSaved, 10),
-				fmtF(r.ElapsedOff.Seconds()), fmtF(r.ElapsedOn.Seconds())}
-			if err := cw.Write(rec); err != nil {
+	// csv.Writer errors are sticky: cw.Error reports any Write failure
+	// after the Flush below.
+	cw := csv.NewWriter(fp)
+	cw.Write(hdr)
+	rec := make([]string, len(cols))
+	for r := 0; r < v.Len(); r++ {
+		for j, i := range cols {
+			if rec[j], err = csvCell(v.Index(r).Field(i)); err != nil {
+				fp.Close()
 				return err
 			}
 		}
-		cw.Flush()
-		return cw.Error()
-	}); err != nil {
-		return err
+		cw.Write(rec)
 	}
-	batch, err := BatchResults(opt)
-	if err != nil {
-		return err
+	cw.Flush()
+	return errors.Join(cw.Error(), fp.Close())
+}
+
+func csvCell(f reflect.Value) (string, error) {
+	if f.Type() == durationType {
+		return fmtF(time.Duration(f.Int()).Seconds()), nil
 	}
-	if err := write("batch.csv", func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"benchmark", "qubits", "gates", "variants",
-			"codec_calls_solo", "codec_calls_batch", "per_variant_solo",
-			"per_variant_batch", "reduction", "passes_shared",
-			"elapsed_solo_seconds", "elapsed_batch_seconds"}); err != nil {
-			return err
-		}
-		for _, r := range batch {
-			rec := []string{r.Benchmark, strconv.Itoa(r.Qubits), strconv.Itoa(r.Gates),
-				strconv.Itoa(r.Variants),
-				strconv.FormatInt(r.CodecCallsSolo, 10), strconv.FormatInt(r.CodecCallsBatch, 10),
-				fmtF(r.PerVariantSolo), fmtF(r.PerVariantBatch),
-				fmtF(r.Reduction), strconv.FormatInt(r.PassesShared, 10),
-				fmtF(r.ElapsedSolo.Seconds()), fmtF(r.ElapsedBatch.Seconds())}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	}); err != nil {
-		return err
+	switch f.Kind() {
+	case reflect.String:
+		return f.String(), nil
+	case reflect.Bool:
+		return strconv.FormatBool(f.Bool()), nil
+	case reflect.Int, reflect.Int64:
+		return strconv.FormatInt(f.Int(), 10), nil
+	case reflect.Float64:
+		return fmtF(f.Float()), nil
 	}
-	sampling, err := SamplingResults(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("sampling.csv", func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"benchmark", "qubits", "shots", "distinct", "total_mass",
-			"build_seconds", "draw_seconds", "scan_seconds", "speedup"}); err != nil {
-			return err
-		}
-		for _, r := range sampling {
-			rec := []string{r.Benchmark, strconv.Itoa(r.Qubits), strconv.Itoa(r.Shots),
-				strconv.Itoa(r.Distinct), fmtF(r.TotalMass),
-				fmtF(r.BuildTime.Seconds()), fmtF(r.DrawTime.Seconds()),
-				fmtF(r.ScanTime.Seconds()), fmtF(r.Speedup)}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	}); err != nil {
-		return err
-	}
-	spill, err := SpillResults(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("spill.csv", func(w io.Writer) error { return WriteSpillCSV(w, spill) }); err != nil {
-		return err
-	}
-	crossover, err := CrossoverResults(opt)
-	if err != nil {
-		return err
-	}
-	if err := write("crossover.csv", func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"depth", "qubits", "gates", "est_bond", "auto_picks",
-			"mps_seconds", "mps_bytes", "mps_fidelity", "mps_max_bond",
-			"compressed_seconds", "compressed_bytes", "compressed_fidelity", "winner"}); err != nil {
-			return err
-		}
-		for _, r := range crossover {
-			rec := []string{strconv.Itoa(r.Depth), strconv.Itoa(r.Qubits), strconv.Itoa(r.Gates),
-				strconv.Itoa(r.EstBond), r.Auto,
-				fmtF(r.MPSTime.Seconds()), strconv.FormatInt(r.MPSMem, 10),
-				fmtF(r.MPSFidelity), strconv.Itoa(r.MPSMaxBond),
-				fmtF(r.CompTime.Seconds()), strconv.FormatInt(r.CompMem, 10),
-				fmtF(r.CompFidelity), r.TimeWinner}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	}); err != nil {
-		return err
-	}
-	// Fig. 6 is closed-form; export the curves too.
-	return write("fig6_fidelity_bounds.csv", func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"gates", "bound", "fidelity_lower_bound"}); err != nil {
-			return err
-		}
-		for _, d := range []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1} {
-			f := 1.0
-			for g := 1; g <= 5000; g++ {
-				f *= 1 - d
-				if g%250 == 0 {
-					if err := cw.Write([]string{strconv.Itoa(g), fmtF(d), fmtF(f)}); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	})
+	return "", fmt.Errorf("harness: no CSV form for a %s column", f.Type())
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

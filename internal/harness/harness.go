@@ -1,7 +1,7 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§5) at laptop scale: the same workloads, the same
-// comparisons, the same output rows — with qubit counts scaled down per
-// the substitutions documented in DESIGN.md. Each experiment prints a
+// comparisons, the same output rows — with qubit counts scaled down as
+// README's "Reproducing the paper" describes. Each experiment prints a
 // paper-style table and returns a machine-readable result the tests and
 // benchmarks assert shape properties on.
 package harness
@@ -13,8 +13,8 @@ import (
 	"text/tabwriter"
 )
 
-// Options scales the experiments. Default() matches the committed
-// EXPERIMENTS.md numbers; Small() keeps CI fast.
+// Options scales the experiments. Default() is the laptop scale README's
+// "Reproducing the paper" describes; Small() keeps CI fast.
 type Options struct {
 	// SnapshotQubits sizes the qaoa_N / sup_N state snapshots used by
 	// the compression experiments (paper: 36).
@@ -166,7 +166,8 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns all experiment ids, sorted.
+// IDs returns all experiment ids, sorted alphabetically (Experiments
+// keeps paper order).
 func IDs() []string {
 	var ids []string
 	for _, e := range Experiments() {

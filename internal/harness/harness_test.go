@@ -92,8 +92,7 @@ func TestFig8Shape_SZLeads(t *testing.T) {
 	}
 	// SZ should lead ZFP at the loose-to-moderate bounds where the
 	// prediction model has headroom (at 1e-4/1e-5 on our laptop-scale
-	// snapshots the log-quantizer saturates into literals — see
-	// EXPERIMENTS.md).
+	// snapshots the log-quantizer saturates into literals).
 	wins, total := 0, 0
 	for _, ds := range []string{"qaoa_11", "sup_11"} {
 		for _, b := range []float64{1e-1, 1e-2, 1e-3} {
@@ -384,19 +383,47 @@ func TestGridFor(t *testing.T) {
 	}
 }
 
+// TestExportCSV: every exported file exists, carries data rows, and
+// keeps its column contract — the headers are pinned so a row-type edit
+// cannot silently rename, drop or reorder a column downstream plots
+// read.
 func TestExportCSV(t *testing.T) {
 	dir := t.TempDir()
 	if err := ExportCSV(dir, Small()); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"fig7_abs_ratio.csv", "fig8_rel_ratio.csv", "fig10_solutions_ratio.csv", "fig11_rates.csv", "table2.csv", "fig6_fidelity_bounds.csv", "fig16_strong_scaling.csv", "fig16w_worker_scaling.csv", "sweep_codec_reduction.csv", "sampling.csv", "crossover.csv"} {
+	headers := map[string]string{
+		"fig6_fidelity_bounds.csv":  "gates,bound,fidelity_lower_bound",
+		"fig7_abs_ratio.csv":        "dataset,codec,bound,ratio",
+		"fig8_rel_ratio.csv":        "dataset,codec,bound,ratio",
+		"fig10_solutions_ratio.csv": "dataset,codec,bound,ratio",
+		"fig11_rates.csv":           "dataset,codec,bound,compress_mb_s,decompress_mb_s",
+		"fig16_strong_scaling.csv":  "ranks,elapsed_seconds,speedup",
+		"fig16w_worker_scaling.csv": "workers,elapsed_seconds,speedup",
+		"table2.csv": "benchmark,qubits,gates,ranks,mem_required_bytes,mem_budget_bytes,total_seconds," +
+			"compress_pct,decompress_pct,comm_pct,compute_pct,fidelity,fidelity_lower_bound,min_ratio",
+		"sweep_codec_reduction.csv": "benchmark,qubits,gates,codec_calls_off,codec_calls_on,reduction," +
+			"sweeps,sweep_gates,passes_saved,elapsed_off_seconds,elapsed_on_seconds",
+		"batch.csv": "benchmark,qubits,gates,variants,codec_calls_solo,codec_calls_batch,per_variant_solo," +
+			"per_variant_batch,reduction,passes_shared,elapsed_solo_seconds,elapsed_batch_seconds",
+		"sampling.csv": "benchmark,qubits,shots,distinct,total_mass,build_seconds,draw_seconds,scan_seconds,speedup",
+		"spill.csv": "benchmark,qubits,gates,footprint_bytes,budget_bytes,control_over_budget," +
+			"control_final_level,control_seconds,max_resident_bytes,spilled_bytes,spill_writes,spill_reads," +
+			"prefetch_hits,hit_rate,spill_seconds,spill_over_budget,spill_final_level",
+		"crossover.csv": "depth,qubits,gates,est_bond,auto_picks,mps_seconds,mps_bytes,mps_fidelity," +
+			"mps_max_bond,compressed_seconds,compressed_bytes,compressed_fidelity,winner",
+	}
+	for f, want := range headers {
 		data, err := os.ReadFile(filepath.Join(dir, f))
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		lines := strings.Count(string(data), "\n")
-		if lines < 2 {
-			t.Fatalf("%s has only %d lines", f, lines)
+		lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		if len(lines) < 2 {
+			t.Fatalf("%s has only %d lines", f, len(lines))
+		}
+		if lines[0] != want {
+			t.Errorf("%s header:\n got  %s\n want %s", f, lines[0], want)
 		}
 	}
 }

@@ -20,22 +20,22 @@ import (
 
 // SamplingRow is one workload × shot-count measurement.
 type SamplingRow struct {
-	Benchmark string
-	Qubits    int
-	Shots     int
+	Benchmark string `csv:"benchmark"`
+	Qubits    int    `csv:"qubits"`
+	Shots     int    `csv:"shots"`
 	// Distinct is the number of distinct outcomes the streaming draw
 	// produced (a cheap sanity signal that mass is spread, not a metric
 	// from the paper).
-	Distinct  int
-	TotalMass float64
+	Distinct  int     `csv:"distinct"`
+	TotalMass float64 `csv:"total_mass"`
 	// BuildTime is the one-off CDF construction (the block pass);
 	// DrawTime covers the shots themselves.
-	BuildTime time.Duration
-	DrawTime  time.Duration
+	BuildTime time.Duration `csv:"build_seconds"`
+	DrawTime  time.Duration `csv:"draw_seconds"`
 	// ScanTime is the old path: materialize the full vector, then one
 	// linear scan per shot.
-	ScanTime time.Duration
-	Speedup  float64 // ScanTime / (BuildTime + DrawTime)
+	ScanTime time.Duration `csv:"scan_seconds"`
+	Speedup  float64       `csv:"speedup"` // ScanTime / (BuildTime + DrawTime)
 }
 
 // samplingWorkloads are readout-heavy states: GHZ (two-point support,
@@ -81,7 +81,7 @@ func SamplingResults(opt Options) ([]SamplingRow, error) {
 		}
 
 		start := time.Now()
-		sp, err := s.NewSampler(8)
+		sp, err := s.NewSampler()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", wl.name, err)
 		}

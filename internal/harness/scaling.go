@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"qcsim/internal/core"
@@ -144,19 +145,41 @@ type Fig15Point struct {
 	Normalized float64
 }
 
-// Fig15Results times a Hadamard layer per qubit count on one rank.
+// fig15Repeats is how many timed runs each Fig. 15 point takes the
+// median of: at small scales a run is a few milliseconds, where one
+// scheduler hiccup can reorder adjacent sizes.
+const fig15Repeats = 5
+
+// Fig15Results times a Hadamard layer per qubit count on one rank,
+// after one untimed warm-up run, as the median of fig15Repeats runs.
 func Fig15Results(opt Options) ([]Fig15Point, error) {
-	var out []Fig15Point
-	for n := opt.Fig15MinQubits; n <= opt.Fig15MaxQubits; n++ {
+	timeRun := func(n int) (time.Duration, error) {
 		s, err := core.New(core.Config{Qubits: n, Ranks: 1, BlockAmps: opt.BlockAmps, Workers: opt.Workers, Seed: 1, DisableSweeps: opt.DisableSweeps})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
+		defer s.Close()
 		start := time.Now()
 		if err := s.Run(quantum.HadamardAll(n)); err != nil {
-			return nil, err
+			return 0, err
 		}
-		out = append(out, Fig15Point{Qubits: n, Elapsed: time.Since(start)})
+		return time.Since(start), nil
+	}
+	if _, err := timeRun(opt.Fig15MinQubits); err != nil {
+		return nil, err
+	}
+	var out []Fig15Point
+	for n := opt.Fig15MinQubits; n <= opt.Fig15MaxQubits; n++ {
+		runs := make([]time.Duration, fig15Repeats)
+		for i := range runs {
+			d, err := timeRun(n)
+			if err != nil {
+				return nil, err
+			}
+			runs[i] = d
+		}
+		slices.Sort(runs)
+		out = append(out, Fig15Point{Qubits: n, Elapsed: runs[len(runs)/2]})
 	}
 	base := out[0].Elapsed.Seconds()
 	for i := range out {
@@ -181,9 +204,9 @@ func runFig15(w io.Writer, opt Options) error {
 
 // Fig16Point is one rank-count measurement of the strong-scaling run.
 type Fig16Point struct {
-	Ranks   int
-	Elapsed time.Duration
-	Speedup float64
+	Ranks   int           `csv:"ranks"`
+	Elapsed time.Duration `csv:"elapsed_seconds"`
+	Speedup float64       `csv:"speedup"`
 }
 
 // Fig16Results measures strong scaling of a Hadamard layer at fixed
@@ -227,9 +250,9 @@ func runFig16(w io.Writer, opt Options) error {
 // scaling run — the in-process analog of the paper's 64 OpenMP threads
 // per MPI rank.
 type WorkerScalingPoint struct {
-	Workers int
-	Elapsed time.Duration
-	Speedup float64
+	Workers int           `csv:"workers"`
+	Elapsed time.Duration `csv:"elapsed_seconds"`
+	Speedup float64       `csv:"speedup"`
 }
 
 // WorkerScalingResults measures the same fixed workload as Fig. 16 at

@@ -18,31 +18,31 @@ import (
 // completes lossless with the resident set — the RSS proxy — held
 // under the budget and the overflow on disk).
 type SpillRow struct {
-	Benchmark string
-	Qubits    int
-	Gates     int
+	Benchmark string `csv:"benchmark"`
+	Qubits    int    `csv:"qubits"`
+	Gates     int    `csv:"gates"`
 
 	// Footprint is the lossless compressed footprint of the final
 	// state (the dry run); Budget is the resident cap both runs press
 	// against.
-	Footprint int64
-	Budget    int64
+	Footprint int64 `csv:"footprint_bytes"`
+	Budget    int64 `csv:"budget_bytes"`
 
 	// Control run (no spill): where the escalation ladder ended.
-	ControlOverBudget bool
-	ControlFinalLevel int
-	ControlElapsed    time.Duration
+	ControlOverBudget bool          `csv:"control_over_budget"`
+	ControlFinalLevel int           `csv:"control_final_level"`
+	ControlElapsed    time.Duration `csv:"control_seconds"`
 
 	// Spill run.
-	MaxResident     int64 // resident high-water: the RSS proxy
-	SpilledBytes    int64 // on disk at the end of the run
-	SpillWrites     int64
-	SpillReads      int64 // demand (synchronous) reads
-	PrefetchHits    int64 // reads the prefetcher absorbed
-	HitRate         float64
-	SpillElapsed    time.Duration
-	SpillOverBudget bool
-	SpillFinalLevel int
+	MaxResident     int64         `csv:"max_resident_bytes"` // resident high-water: the RSS proxy
+	SpilledBytes    int64         `csv:"spilled_bytes"`      // on disk at the end of the run
+	SpillWrites     int64         `csv:"spill_writes"`
+	SpillReads      int64         `csv:"spill_reads"`   // demand (synchronous) reads
+	PrefetchHits    int64         `csv:"prefetch_hits"` // reads the prefetcher absorbed
+	HitRate         float64       `csv:"hit_rate"`
+	SpillElapsed    time.Duration `csv:"spill_seconds"`
+	SpillOverBudget bool          `csv:"spill_over_budget"`
+	SpillFinalLevel int           `csv:"spill_final_level"`
 }
 
 // spillWorkloads: QFT spreads mass across every block (no block is

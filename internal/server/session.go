@@ -187,12 +187,24 @@ func (s *Session) suspend(led *Ledger, dir string, m *Metrics) (Code, error) {
 		os.Remove(tmp)
 		return CodeErrInternal, fmt.Errorf("server: suspend %s: %w", s.ID, err)
 	}
+	// Flush the file before the rename and the directory after it, so
+	// a power loss leaves either the old checkpoint or the complete new
+	// one under the final name, never an empty file.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return CodeErrInternal, err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return CodeErrInternal, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
+		return CodeErrInternal, err
+	}
+	if err := syncDir(dir); err != nil {
+		os.Remove(path)
 		return CodeErrInternal, err
 	}
 	s.snap = s.sim.Snapshot()
@@ -204,6 +216,15 @@ func (s *Session) suspend(led *Ledger, dir string, m *Metrics) (Code, error) {
 	s.suspends++
 	m.Suspends.Add(1)
 	return CodeOK, nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // closeSession tears the session down: engine closed (removing spill

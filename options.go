@@ -18,15 +18,14 @@ var DefaultErrorLevels = core.DefaultErrorLevels
 // is reported by New, wrapped in ErrBadConfig (or ErrUnknownCodec for
 // codec-name lookups).
 type settings struct {
-	cfg         core.Config
-	codecName   string
-	noiseProb   float64
-	sampleCache int
-	backend     string
-	bondDim     int
-	variants    int
-	transport   string
-	workerCmd   []string
+	cfg       core.Config
+	codecName string
+	noiseProb float64
+	backend   string
+	bondDim   int
+	variants  int
+	transport string
+	workerCmd []string
 }
 
 // Option configures a Simulator at construction. Options are applied in
@@ -81,25 +80,6 @@ func WithCodec(name string) Option {
 // LRU lines (the paper's §3.4 uses 64). 0 (the default) disables it.
 func WithCache(lines int) Option {
 	return func(s *settings) { s.cfg.CacheLines = lines }
-}
-
-// DefaultSampleCache is the number of decompressed blocks a Sampler
-// keeps hot when WithSampleCache is not given.
-const DefaultSampleCache = 8
-
-// WithSampleCache sets how many decompressed blocks the streaming
-// sampler (Sampler, Sample) keeps in its LRU, so shots clustered in the
-// same blocks skip repeated codec work. Each line holds one block
-// uncompressed (16·BlockAmps bytes). Values below 1 are clamped to 1 —
-// the current block always stays hot. Default DefaultSampleCache.
-func WithSampleCache(lines int) Option {
-	// Clamp here, not in resolve: there a zero means "option not given"
-	// and selects DefaultSampleCache, so an explicit 0 must become 1
-	// before it reaches the settings.
-	if lines < 1 {
-		lines = 1
-	}
-	return func(s *settings) { s.sampleCache = lines }
 }
 
 // DefaultBondDim is the MPS bond-dimension cap χ when WithBondDim is
@@ -261,9 +241,6 @@ func WithWorkerCommand(argv ...string) Option {
 func (s *settings) resolve(qubits int) (core.Config, float64, error) {
 	cfg := s.cfg
 	cfg.Qubits = qubits
-	if s.sampleCache == 0 {
-		s.sampleCache = DefaultSampleCache
-	}
 	if s.codecName != "" {
 		codec, err := registry.New(s.codecName)
 		if err != nil {

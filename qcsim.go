@@ -38,9 +38,6 @@ type Simulator struct {
 	// pending defers backend construction for WithBackend("auto") until
 	// a circuit is available to analyze.
 	pending *pendingAuto
-	// sampleCache is the decompressed-block LRU size samplers built from
-	// this simulator use (WithSampleCache).
-	sampleCache int
 	// closed latches after Close: every error-returning method reports
 	// ErrClosed instead of touching the torn-down engine.
 	closed bool
@@ -65,7 +62,7 @@ func New(qubits int, opts ...Option) (*Simulator, error) {
 		return nil, err
 	}
 	p := &pendingAuto{qubits: qubits, cfg: cfg, noiseProb: noiseProb, bondDim: st.bondDim}
-	sim := &Simulator{qubits: qubits, sampleCache: st.sampleCache}
+	sim := &Simulator{qubits: qubits}
 	switch st.backend {
 	case BackendAuto:
 		// Defer the engine (and its state allocation) to the first Run,
@@ -577,9 +574,10 @@ func (s *Simulator) Sample(shots int) ([]uint64, error) {
 // built once at construction. On the compressed backend that is a
 // two-level CDF: one pass over the compressed blocks computes per-block
 // probability masses, and each shot binary-searches the block prefix
-// sums and decompresses only its hit block (through an LRU sized by
-// WithSampleCache); draws are normalized by the true total mass, so
-// lossy-codec norm loss never skews outcomes. On the mps backend it is
+// sums and decompresses only its hit block (draws resolve in sorted
+// order, so each block decodes at most once per call); draws are
+// normalized by the true total mass, so lossy-codec norm loss never
+// skews outcomes. On the mps backend it is
 // perfect sampling by qubit-by-qubit conditional contraction over
 // precomputed right environments — O(n·χ²) per shot, no 2^n vector.
 // Either way, a Sampler reads the state it was built from; once the
@@ -599,7 +597,7 @@ func (s *Simulator) Sampler() (*Sampler, error) {
 	if err := s.closedErr(); err != nil {
 		return nil, err
 	}
-	sp, err := s.b().NewSampler(s.sampleCache)
+	sp, err := s.b().NewSampler()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package qcsim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -416,6 +417,54 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 }
 
+// TestLoadHugeCountsRejected: a 64-byte checkpoint — the magic, then a
+// header with this simulator's geometry whose gate and measurement
+// counts are both 2^40 — used to size the measurement log from the
+// header and kill the process with an unrecoverable out-of-memory. It
+// must report ErrBadCheckpoint and leave the state untouched.
+func TestLoadHugeCountsRejected(t *testing.T) {
+	sim, err := New(8, WithRanks(2), WithBlockAmps(32), WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(context.Background(), circuit.QFT(8, 2)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Magic (8 bytes) and the four geometry words, then the ledger and
+	// the two forged counts.
+	crafted := append([]byte(nil), buf.Bytes()[:8+4*8]...)
+	crafted = binary.LittleEndian.AppendUint64(crafted, math.Float64bits(1))
+	crafted = binary.LittleEndian.AppendUint64(crafted, 1<<40)
+	crafted = binary.LittleEndian.AppendUint64(crafted, 1<<40)
+	if len(crafted) != 64 {
+		t.Fatalf("crafted header is %d bytes, want 64", len(crafted))
+	}
+	before, err := sim.FullState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := sim.GatesRun()
+	if err := sim.Load(bytes.NewReader(crafted)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("Load of forged counts: %v, want ErrBadCheckpoint", err)
+	}
+	after, err := sim.FullState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("amplitude %d changed by a rejected Load", i)
+		}
+	}
+	if sim.GatesRun() != gates {
+		t.Fatalf("GatesRun %d after a rejected Load, want %d", sim.GatesRun(), gates)
+	}
+}
+
 // TestSweepSchedulerFacade: sweeps are on by default, surface their
 // counters through Stats, and match sweeps-off execution bit-for-bit.
 func TestSweepSchedulerFacade(t *testing.T) {
@@ -463,10 +512,10 @@ func TestSweepSchedulerFacade(t *testing.T) {
 
 // TestSamplerHandle: the Sampler builds its tables once and then draws
 // repeatedly from the simulator's sampling stream — split calls match
-// one big Sample call, and the WithSampleCache option round-trips.
+// one big Sample call.
 func TestSamplerHandle(t *testing.T) {
 	mk := func() *Simulator {
-		sim, err := New(8, WithSeed(21), WithBlockAmps(16), WithSampleCache(2))
+		sim, err := New(8, WithSeed(21), WithBlockAmps(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,15 +525,6 @@ func TestSamplerHandle(t *testing.T) {
 		return sim
 	}
 	a, b := mk(), mk()
-	if a.sampleCache != 2 {
-		t.Fatalf("WithSampleCache(2) did not round-trip: %d", a.sampleCache)
-	}
-	if z, err := New(4, WithSampleCache(0)); err != nil || z.sampleCache != 1 {
-		t.Fatalf("WithSampleCache(0) should clamp to 1, got %d (%v)", z.sampleCache, err)
-	}
-	if d, err := New(4); err != nil || d.sampleCache != DefaultSampleCache {
-		t.Fatalf("default sample cache = %d, want %d (%v)", d.sampleCache, DefaultSampleCache, err)
-	}
 	sp, err := a.Sampler()
 	if err != nil {
 		t.Fatal(err)
